@@ -119,14 +119,14 @@ pub fn representatives(ccs: &[CharClass]) -> Vec<u8> {
 /// The image side of a joint configuration: a live run of whichever IR
 /// the pattern compiled to.
 #[derive(Clone, Debug)]
-enum ImageRun<'a> {
-    Nfa(NfaRun<'a>),
-    Nbva(NbvaRun<'a>),
-    Lnfa(Vec<ShiftAndRun<'a>>),
+enum ImageRun {
+    Nfa(NfaRun),
+    Nbva(NbvaRun),
+    Lnfa(Vec<ShiftAndRun>),
 }
 
-impl<'a> ImageRun<'a> {
-    fn start(image: &'a Compiled) -> ImageRun<'a> {
+impl ImageRun {
+    fn start(image: &Compiled) -> ImageRun {
         match image {
             Compiled::Nfa(c) => ImageRun::Nfa(c.nfa.start()),
             Compiled::Nbva(c) => ImageRun::Nbva(c.nbva.start()),
@@ -134,12 +134,17 @@ impl<'a> ImageRun<'a> {
         }
     }
 
-    /// Consumes one byte; returns the raw (unfiltered) match signal.
-    fn step(&mut self, byte: u8) -> bool {
-        match self {
-            ImageRun::Nfa(run) => run.step(byte),
-            ImageRun::Nbva(run) => run.step(byte),
-            ImageRun::Lnfa(runs) => runs.iter_mut().fold(false, |m, r| r.step(byte) | m),
+    /// Consumes one byte of `image` (the image this run was started
+    /// from); returns the raw (unfiltered) match signal.
+    fn step(&mut self, image: &Compiled, byte: u8) -> bool {
+        match (self, image) {
+            (ImageRun::Nfa(run), Compiled::Nfa(c)) => run.step(&c.nfa, byte),
+            (ImageRun::Nbva(run), Compiled::Nbva(c)) => run.step(&c.nbva, byte),
+            (ImageRun::Lnfa(runs), Compiled::Lnfa(c)) => runs
+                .iter_mut()
+                .zip(&c.units)
+                .fold(false, |m, (r, u)| r.step(&u.lnfa, byte) | m),
+            _ => unreachable!("a run steps against the image it started from"),
         }
     }
 
@@ -165,9 +170,9 @@ impl<'a> ImageRun<'a> {
 
 /// One visited node of the joint exploration: the paired runs plus a
 /// parent pointer for counterexample reconstruction.
-struct Node<'a> {
-    reference: NfaRun<'a>,
-    image: ImageRun<'a>,
+struct Node {
+    reference: NfaRun,
+    image: ImageRun,
     /// Index of the predecessor node (`usize::MAX` for the root).
     parent: usize,
     /// The byte that led here from the parent.
@@ -176,7 +181,7 @@ struct Node<'a> {
 
 /// Rebuilds the input string leading to `node`, then appends `last` and
 /// (optionally) `extension`.
-fn witness(nodes: &[Node<'_>], node: usize, last: u8, extension: Option<u8>) -> Vec<u8> {
+fn witness(nodes: &[Node], node: usize, last: u8, extension: Option<u8>) -> Vec<u8> {
     let mut bytes = Vec::new();
     let mut i = node;
     while nodes[i].parent != usize::MAX {
@@ -235,8 +240,8 @@ pub fn check(image: &Compiled, pattern: &Pattern, cfg: &SoundnessConfig) -> Opti
         for &b in &reps {
             let mut ref_run = nodes[i].reference.clone();
             let mut img_run = nodes[i].image.clone();
-            let want = ref_run.step(b);
-            let got = img_run.step(b);
+            let want = ref_run.step(&reference, b);
+            let got = img_run.step(image, b);
             if want != got {
                 // The string leading here is itself a diverging input:
                 // every input's final position reports the raw signal.
@@ -327,9 +332,9 @@ pub fn check_overlap(a: &Compiled, b: &Compiled, cfg: &SoundnessConfig) -> Overl
     let reps = representatives(&ccs);
 
     /// One visited joint node: both runs plus the witness back-pointer.
-    struct Joint<'x> {
-        a: ImageRun<'x>,
-        b: ImageRun<'x>,
+    struct Joint {
+        a: ImageRun,
+        b: ImageRun,
         parent: usize,
         byte: u8,
     }
@@ -349,8 +354,8 @@ pub fn check_overlap(a: &Compiled, b: &Compiled, cfg: &SoundnessConfig) -> Overl
         for &byte in &reps {
             let mut run_a = nodes[i].a.clone();
             let mut run_b = nodes[i].b.clone();
-            let hit_a = run_a.step(byte);
-            let hit_b = run_b.step(byte);
+            let hit_a = run_a.step(a, byte);
+            let hit_b = run_b.step(b, byte);
             if hit_a && hit_b {
                 let mut input = Vec::new();
                 let mut j = i;

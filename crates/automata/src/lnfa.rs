@@ -89,10 +89,10 @@ impl Lnfa {
         &self.classes
     }
 
-    /// Creates a fresh Shift-And run.
-    pub fn start(&self) -> ShiftAndRun<'_> {
+    /// Creates a fresh Shift-And run. The run is plain owned data; each
+    /// [`ShiftAndRun::step`] borrows the chain it steps against.
+    pub fn start(&self) -> ShiftAndRun {
         ShiftAndRun {
-            lnfa: self,
             states: BitVec::zeros(self.classes.len()),
         }
     }
@@ -102,7 +102,7 @@ impl Lnfa {
         let mut run = self.start();
         let mut out = Vec::new();
         for (i, &b) in input.iter().enumerate() {
-            if run.step(b) {
+            if run.step(self, b) {
                 out.push(i + 1);
             }
         }
@@ -112,7 +112,7 @@ impl Lnfa {
     /// Whether any match occurs in `input`.
     pub fn is_match(&self, input: &[u8]) -> bool {
         let mut run = self.start();
-        input.iter().any(|&b| run.step(b))
+        input.iter().any(|&b| run.step(self, b))
     }
 }
 
@@ -122,23 +122,23 @@ impl Lnfa {
 /// LSB = `q0` with an *up* shift; the hardware of §3.2 uses the mirrored
 /// MSB-first layout with a right shift — the two are isomorphic.
 #[derive(Clone, Debug)]
-pub struct ShiftAndRun<'a> {
-    lnfa: &'a Lnfa,
+pub struct ShiftAndRun {
     states: BitVec,
 }
 
-impl ShiftAndRun<'_> {
-    /// Consumes one symbol; returns whether a match ends here.
+impl ShiftAndRun {
+    /// Consumes one symbol of `lnfa` (the chain this run was started
+    /// from); returns whether a match ends here.
     ///
     /// Implements `states = ((states << 1) | maskInitial) AND labels[b]`
     /// followed by the `maskFinal` test, computing `labels` from the stored
     /// character classes as the RAP hardware does (§3.2: "we compute labels
     /// from the STE CC instead of storing it directly").
-    pub fn step(&mut self, byte: u8) -> bool {
-        let n = self.lnfa.classes.len();
+    pub fn step(&mut self, lnfa: &Lnfa, byte: u8) -> bool {
+        let n = lnfa.classes.len();
         self.states.shift_up();
         self.states.set(0, true); // unanchored: q0 is always available
-        for (i, cc) in self.lnfa.classes.iter().enumerate() {
+        for (i, cc) in lnfa.classes.iter().enumerate() {
             if self.states.get(i) && !cc.contains(byte) {
                 self.states.set(i, false);
             }
@@ -255,8 +255,8 @@ mod tests {
     fn active_count_reflects_threads() {
         let l = chain("aaa");
         let mut run = l.start();
-        run.step(b'a');
-        run.step(b'a');
+        run.step(&l, b'a');
+        run.step(&l, b'a');
         assert_eq!(run.active_count(), 2);
     }
 }

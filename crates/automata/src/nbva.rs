@@ -237,8 +237,9 @@ impl Nbva {
         self.states.iter().map(|s| u64::from(s.width())).sum()
     }
 
-    /// Creates a fresh run.
-    pub fn start(&self) -> NbvaRun<'_> {
+    /// Creates a fresh run. The run is plain owned data (activation bits
+    /// and bit vectors); each step borrows the automaton it steps against.
+    pub fn start(&self) -> NbvaRun {
         let bv_states: Vec<StateId> = self
             .states
             .iter()
@@ -247,7 +248,6 @@ impl Nbva {
             .map(|(q, _)| q as StateId)
             .collect();
         NbvaRun {
-            nbva: self,
             active: BitVec::zeros(self.states.len()),
             vectors: self
                 .states
@@ -266,7 +266,7 @@ impl Nbva {
         let mut run = self.start();
         let mut out = Vec::new();
         for (i, &b) in input.iter().enumerate() {
-            if run.step(b) && (!self.anchored_end || i + 1 == input.len()) {
+            if run.step(self, b) && (!self.anchored_end || i + 1 == input.len()) {
                 out.push(i + 1);
             }
         }
@@ -276,22 +276,22 @@ impl Nbva {
     /// Whether any match occurs in `input`.
     pub fn is_match(&self, input: &[u8]) -> bool {
         let mut run = self.start();
-        input.iter().any(|&b| run.step(b))
+        input.iter().any(|&b| run.step(self, b))
     }
 }
 
 /// An in-progress unanchored run over an [`Nbva`].
 ///
 /// The configuration holds, per state, an activation bit (plain states) or
-/// a bit vector of in-flight repetition counts (BV states).
+/// a bit vector of in-flight repetition counts (BV states). It is owned
+/// data, so a run can outlive any one borrow of its automaton.
 #[derive(Clone, Debug)]
-pub struct NbvaRun<'a> {
-    nbva: &'a Nbva,
+pub struct NbvaRun {
     /// Activation bits of plain states (ignored for BV states).
     active: BitVec,
     /// Bit vectors of BV states (zero-width for plain states).
     vectors: Vec<BitVec>,
-    /// Ids of the BV states (they are processed every step).
+    /// Ids of the BV states, ascending (they are processed every step).
     bv_states: Vec<StateId>,
     /// Reused incoming-candidate bitmap.
     incoming: BitVec,
@@ -301,10 +301,11 @@ pub struct NbvaRun<'a> {
     pos: u64,
 }
 
-impl NbvaRun<'_> {
-    /// Consumes one input symbol; returns whether a match ends here.
-    pub fn step(&mut self, byte: u8) -> bool {
-        self.step_detailed(byte).matched
+impl NbvaRun {
+    /// Consumes one input symbol of `nbva` (the automaton this run was
+    /// started from); returns whether a match ends here.
+    pub fn step(&mut self, nbva: &Nbva, byte: u8) -> bool {
+        self.step_detailed(nbva, byte).matched
     }
 
     /// Consumes one input symbol and reports what happened — the hardware
@@ -314,8 +315,8 @@ impl NbvaRun<'_> {
     /// The step is sparse: work is proportional to the active plain states,
     /// their out-edges, and the (few) bit-vector states — not to the
     /// automaton size.
-    pub fn step_detailed(&mut self, byte: u8) -> StepInfo {
-        self.step_impl(byte, true)
+    pub fn step_detailed(&mut self, nbva: &Nbva, byte: u8) -> StepInfo {
+        self.step_impl(nbva, byte, true)
     }
 
     /// Like [`NbvaRun::step_detailed`] but *without* re-arming the initial
@@ -323,12 +324,11 @@ impl NbvaRun<'_> {
     /// [`NbvaRun::activate_plain`] injections. Prefilter-driven engines
     /// use this so a woken automaton goes back to sleep once its injected
     /// threads die, instead of being rekindled by every initial-class byte.
-    pub fn step_anchored(&mut self, byte: u8) -> StepInfo {
-        self.step_impl(byte, false)
+    pub fn step_anchored(&mut self, nbva: &Nbva, byte: u8) -> StepInfo {
+        self.step_impl(nbva, byte, false)
     }
 
-    fn step_impl(&mut self, byte: u8, arm_initial: bool) -> StepInfo {
-        let nbva = self.nbva;
+    fn step_impl(&mut self, nbva: &Nbva, byte: u8, arm_initial: bool) -> StepInfo {
         // `incoming` marks states reachable this cycle: successors of
         // emitting states plus the always-available initial states. A
         // plain state emits while active; a BV state emits while its read
@@ -398,15 +398,13 @@ impl NbvaRun<'_> {
 
     /// Number of active plain states plus BV states with a non-zero vector.
     pub fn active_count(&self) -> u32 {
-        let mut count = 0;
-        for q in 0..self.nbva.states.len() {
-            let on = match self.nbva.states[q].kind {
-                StateKind::Plain => self.active.get(q),
-                StateKind::Bv { .. } => self.vectors[q].any(),
-            };
-            count += u32::from(on);
-        }
-        count
+        // Activation bits are only ever set on plain states.
+        let live_vectors = self
+            .bv_states
+            .iter()
+            .filter(|&&q| self.vectors[q as usize].any())
+            .count();
+        self.active.count_ones() + live_vectors as u32
     }
 
     /// The bit vector of state `q` (zero-width for plain states).
@@ -429,7 +427,7 @@ impl NbvaRun<'_> {
     /// Panics if `q` is a bit-vector state.
     pub fn activate_plain(&mut self, q: StateId) {
         assert!(
-            matches!(self.nbva.states[q as usize].kind, StateKind::Plain),
+            self.bv_states.binary_search(&q).is_err(),
             "state {q} is a bit-vector state"
         );
         self.active.set(q as usize, true);
@@ -438,10 +436,9 @@ impl NbvaRun<'_> {
     /// Whether state `q` is active: plain states by activation bit, BV
     /// states by a non-zero vector.
     pub fn is_state_active(&self, q: StateId) -> bool {
-        match self.nbva.states[q as usize].kind {
-            StateKind::Plain => self.active.get(q as usize),
-            StateKind::Bv { .. } => self.vectors[q as usize].any(),
-        }
+        // Plain states have zero-width vectors; BV states never carry an
+        // activation bit.
+        self.active.get(q as usize) || self.vectors[q as usize].any()
     }
 }
 
@@ -607,9 +604,9 @@ mod tests {
     fn active_count_counts_nonzero_vectors() {
         let a = nbva("c{5}", 4);
         let mut run = a.start();
-        run.step(b'c');
+        run.step(&a, b'c');
         assert_eq!(run.active_count(), 1);
-        run.step(b'x');
+        run.step(&a, b'x');
         assert_eq!(run.active_count(), 0);
     }
 }

@@ -234,10 +234,10 @@ impl Nfa {
         out
     }
 
-    /// Creates a fresh run of the automaton.
-    pub fn start(&self) -> NfaRun<'_> {
+    /// Creates a fresh run of the automaton. The run is plain owned data;
+    /// each [`NfaRun::step`] borrows the automaton it steps against.
+    pub fn start(&self) -> NfaRun {
         NfaRun {
-            nfa: self,
             active: BitVec::zeros(self.states.len()),
             scratch: Vec::new(),
             pos: 0,
@@ -250,7 +250,7 @@ impl Nfa {
         let mut run = self.start();
         let mut out = Vec::new();
         for (i, &b) in input.iter().enumerate() {
-            if run.step(b) && (!self.anchored_end || i + 1 == input.len()) {
+            if run.step(self, b) && (!self.anchored_end || i + 1 == input.len()) {
                 out.push(i + 1);
             }
         }
@@ -260,14 +260,15 @@ impl Nfa {
     /// Convenience: whether any match occurs in `input`.
     pub fn is_match(&self, input: &[u8]) -> bool {
         let mut run = self.start();
-        input.iter().any(|&b| run.step(b))
+        input.iter().any(|&b| run.step(self, b))
     }
 }
 
-/// An in-progress unanchored run over an [`Nfa`].
+/// An in-progress unanchored run over an [`Nfa`]: the activation bitmap
+/// and position, owned, so a run can outlive any one borrow of its
+/// automaton (a streaming scan resumes it chunk by chunk).
 #[derive(Clone, Debug)]
-pub struct NfaRun<'a> {
-    nfa: &'a Nfa,
+pub struct NfaRun {
     active: BitVec,
     /// Reused candidate buffer (sparse stepping).
     scratch: Vec<StateId>,
@@ -275,15 +276,15 @@ pub struct NfaRun<'a> {
     pos: u64,
 }
 
-impl NfaRun<'_> {
-    /// Consumes one input symbol; returns whether a match ends here.
+impl NfaRun {
+    /// Consumes one input symbol of `nfa` (the automaton this run was
+    /// started from); returns whether a match ends here.
     ///
     /// Initial states are candidates on every symbol (the always-available
     /// initial STEs of AP-style processors), which yields unanchored
     /// semantics. The step is sparse: work is proportional to the active
     /// set and its out-edges, not to the automaton size.
-    pub fn step(&mut self, byte: u8) -> bool {
-        let nfa = self.nfa;
+    pub fn step(&mut self, nfa: &Nfa, byte: u8) -> bool {
         // Gather candidates: successors of active states + initial states,
         // deduplicated through the `next` bitmap itself.
         let mut next = std::mem::take(&mut self.active);
@@ -419,9 +420,9 @@ mod tests {
     fn active_count_tracks_parallel_threads() {
         let n = nfa("a.{3}");
         let mut run = n.start();
-        run.step(b'a');
+        run.step(&n, b'a');
         assert_eq!(run.active_count(), 1);
-        run.step(b'a'); // both initial 'a' and '.' threads
+        run.step(&n, b'a'); // both initial 'a' and '.' threads
         assert_eq!(run.active_count(), 2);
     }
 

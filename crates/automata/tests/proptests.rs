@@ -92,8 +92,8 @@ proptest! {
             let mut got = Vec::new();
             for (i, &b) in input.iter().enumerate() {
                 let mut any = false;
-                for run in runs.iter_mut() {
-                    any |= run.step(b);
+                for (run, lnfa) in runs.iter_mut().zip(&set.lnfas) {
+                    any |= run.step(lnfa, b);
                 }
                 if any {
                     got.push(i + 1);

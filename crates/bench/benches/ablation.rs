@@ -138,7 +138,7 @@ fn ablate_bv_vs_counters(c: &mut Criterion) {
         b.iter(|| {
             let mut run = dense_nbva.start();
             for &byte in &dense_input {
-                std::hint::black_box(run.step(byte));
+                std::hint::black_box(run.step(&dense_nbva, byte));
             }
         });
     });
@@ -155,7 +155,7 @@ fn ablate_bv_vs_counters(c: &mut Criterion) {
         b.iter(|| {
             let mut run = sparse_nbva.start();
             for &byte in &sparse_input {
-                std::hint::black_box(run.step(byte));
+                std::hint::black_box(run.step(&sparse_nbva, byte));
             }
         });
     });

@@ -72,7 +72,7 @@ impl Engine for NfaEngine {
             let mut k = 0;
             while k < live.len() {
                 let p = live[k] as usize;
-                if runs[p].step(byte) {
+                if runs[p].step(&self.nfas[p], byte) {
                     hits.push(Hit {
                         pattern: p,
                         end: offset + 1,
@@ -235,10 +235,11 @@ impl PrefilteredNfa {
             while k < live.len() {
                 let p = live[k] as usize;
                 steps += 1;
+                let nbva = &self.nbvas[p];
                 let matched = if self.anchored[p] {
-                    runs[p].step_anchored(byte).matched
+                    runs[p].step_anchored(nbva, byte).matched
                 } else {
-                    runs[p].step(byte)
+                    runs[p].step(nbva, byte)
                 };
                 if matched {
                     hits.push(Hit {
@@ -308,10 +309,11 @@ impl Engine for PrefilteredNfa {
             let mut k = 0;
             while k < live.len() {
                 let p = live[k] as usize;
+                let nbva = &self.nbvas[p];
                 let matched = if self.anchored[p] {
-                    runs[p].step_anchored(byte).matched
+                    runs[p].step_anchored(nbva, byte).matched
                 } else {
-                    runs[p].step(byte)
+                    runs[p].step(nbva, byte)
                 };
                 if matched {
                     hits.push(Hit {

@@ -419,25 +419,6 @@ impl VerifiedPlan {
         )
     }
 
-    /// Like [`VerifiedPlan::simulate`], with cycle-sampled probe events
-    /// and run totals recorded into `telemetry` under `label`. Tracing
-    /// only observes; the result is identical to [`VerifiedPlan::simulate`].
-    pub fn simulate_traced(
-        &self,
-        input: &[u8],
-        telemetry: &rap_telemetry::Telemetry,
-        label: &str,
-    ) -> RunResult {
-        rap_sim::simulate_traced(
-            &self.compiled.images,
-            &self.mapping,
-            input,
-            self.compiled.machine,
-            telemetry,
-            label,
-        )
-    }
-
     /// Like [`VerifiedPlan::simulate`], but through the §3.3 bank buffer
     /// hierarchy, returning buffer statistics alongside the result.
     pub fn simulate_streaming(&self, input: &[u8]) -> (RunResult, BankStats) {
@@ -446,6 +427,7 @@ impl VerifiedPlan {
             &self.mapping,
             input,
             self.compiled.machine,
+            None,
         )
     }
 }

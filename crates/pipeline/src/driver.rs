@@ -14,7 +14,7 @@ use crate::summary::RunSummary;
 use crate::workload::{self, BenchConfig, SuiteCorpus};
 use rap_circuit::Machine;
 use rap_compiler::Mode;
-use rap_sim::Simulator;
+use rap_sim::{Simulator, StreamState};
 use rap_telemetry::Telemetry;
 use rap_workloads::Suite;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -393,12 +393,12 @@ impl Pipeline {
         label: &str,
     ) -> Result<RunSummary, EvalError> {
         let plan = self.plan(sim, patterns, forced)?;
-        let result = self
-            .metrics
-            .timed(Stage::Simulate, || match &self.telemetry {
-                Some(tel) => plan.simulate_traced(input, tel, label),
-                None => plan.simulate(input),
-            });
+        let result = self.metrics.timed(Stage::Simulate, || {
+            let (images, mapping) = (plan.compiled().images(), plan.mapping());
+            let trace = self.telemetry.as_deref().map(|tel| (tel, label));
+            StreamState::new(images, mapping, plan.compiled().machine(), trace)
+                .run(images, mapping, input)
+        });
         self.metrics.add_cell();
         Ok(RunSummary::of(&result, plan.compiled().state_count()))
     }
@@ -427,6 +427,61 @@ impl Pipeline {
         tenants: &[(&str, &Simulator, &PatternSet)],
         options: &rap_admit::AdmitOptions,
     ) -> Result<Admission, EvalError> {
+        let (analysis, keys) = self.analyze_admission(tenants, options)?;
+        let plan = match &analysis.composed {
+            Some(composed) => {
+                let pairs: Vec<(&str, crate::cache::CacheKey)> = tenants
+                    .iter()
+                    .zip(keys)
+                    .map(|((name, _, _), key)| (*name, key))
+                    .collect();
+                let key = crate::cache::compose_key(&pairs);
+                let machine = tenants[0].1.machine;
+                Some(self.plans.get_or_build(
+                    key,
+                    |p| p,
+                    || {
+                        let compiled = CompiledSet::assemble(machine, key, composed.images.clone());
+                        self.metrics.timed(Stage::Verify, || {
+                            MappedPlan::from_parts(compiled, composed.mapping.clone()).verify()
+                        })
+                    },
+                )?)
+            }
+            None => None,
+        };
+        Ok(Admission { analysis, plan })
+    }
+
+    /// The analysis half of [`Pipeline::admit`]: the certificate (or the
+    /// refusing findings) without assembling, verifying or caching a
+    /// composed plan. For callers that never execute the composition,
+    /// such as a scan service that steps each tenant's solo plan and
+    /// only budgets and hot-swaps from the certificate.
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-tenant compile/verify failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tenants` is empty or mixes target machines.
+    pub fn admit_analysis(
+        &self,
+        tenants: &[(&str, &Simulator, &PatternSet)],
+        options: &rap_admit::AdmitOptions,
+    ) -> Result<rap_admit::AdmissionAnalysis, EvalError> {
+        Ok(self.analyze_admission(tenants, options)?.0)
+    }
+
+    /// Builds (or recalls) every tenant's solo plan and runs
+    /// [`rap_admit::admit`] over them as the Admit stage. Returns the
+    /// analysis and the tenants' plan keys, in tenant order.
+    fn analyze_admission(
+        &self,
+        tenants: &[(&str, &Simulator, &PatternSet)],
+        options: &rap_admit::AdmitOptions,
+    ) -> Result<(rap_admit::AdmissionAnalysis, Vec<crate::cache::CacheKey>), EvalError> {
         assert!(!tenants.is_empty(), "admission needs at least one tenant");
         let machine = tenants[0].1.machine;
         assert!(
@@ -453,27 +508,11 @@ impl Pipeline {
             .metrics
             .timed(Stage::Admit, || rap_admit::admit(&views, &arch, options));
         self.metrics.record_admission(analysis.admitted());
-        let plan = match &analysis.composed {
-            Some(composed) => {
-                let pairs: Vec<(&str, crate::cache::CacheKey)> = plans
-                    .iter()
-                    .map(|(name, plan, _)| (*name, plan.compiled().key()))
-                    .collect();
-                let key = crate::cache::compose_key(&pairs);
-                Some(self.plans.get_or_build(
-                    key,
-                    |p| p,
-                    || {
-                        let compiled = CompiledSet::assemble(machine, key, composed.images.clone());
-                        self.metrics.timed(Stage::Verify, || {
-                            MappedPlan::from_parts(compiled, composed.mapping.clone()).verify()
-                        })
-                    },
-                )?)
-            }
-            None => None,
-        };
-        Ok(Admission { analysis, plan })
+        let keys = plans
+            .iter()
+            .map(|(_, plan, _)| plan.compiled().key())
+            .collect();
+        Ok((analysis, keys))
     }
 
     /// Runs the hot-swap safety analyzer against a certified admission:
@@ -900,6 +939,36 @@ mod tests {
             );
             assert_eq!(mine, solo_run.matches, "tenant {i} diverges");
         }
+    }
+
+    #[test]
+    fn analysis_only_admission_composes_no_plan() {
+        let pipe = Pipeline::new(BenchConfig {
+            patterns_per_suite: 4,
+            input_len: 256,
+            match_rate: 0.02,
+            seed: 5,
+        });
+        let snort = pipe.corpus(Suite::Snort);
+        let yara = pipe.corpus(Suite::Yara);
+        let sim = pipe.simulator_for(Machine::Rap, Suite::Snort);
+        let tenants = [
+            ("snort", &sim, snort.patterns()),
+            ("yara", &sim, yara.patterns()),
+        ];
+        let options = rap_admit::AdmitOptions::default();
+        let analysis = pipe.admit_analysis(&tenants, &options).expect("admits");
+        assert!(analysis.admitted(), "{}", analysis.report);
+        let solo_misses = pipe.report().plan_cache.misses;
+        let full = pipe.admit(&tenants, &options).expect("admits");
+        assert_eq!(full.analysis.total_arrays, analysis.total_arrays);
+        let report = pipe.report();
+        assert_eq!(
+            report.plan_cache.misses,
+            solo_misses + 1,
+            "only `admit` composes"
+        );
+        assert_eq!(report.compositions_admitted, 2);
     }
 
     #[test]

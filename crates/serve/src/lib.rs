@@ -17,10 +17,12 @@
 //! - **Placement** lands each tenant on the least-loaded shard; the
 //!   shard's residents share one certified [`rap_admit::ComposedPlan`],
 //!   re-admitted on every join and leave.
-//! - **Streaming** re-scans each session's retained window through
-//!   `simulate_streaming` and demuxes per-tenant events through the
-//!   composition certificate's pattern ranges — never by inspecting
-//!   another tenant's traffic.
+//! - **Streaming** steps each session's new bytes through the session's
+//!   own resumable simulator state (`rap_sim::StreamState`) over the
+//!   tenant's solo plan. Admission certifies that a tenant's matches in
+//!   the composition equal its solo run, so no tenant's scan ever touches
+//!   another tenant's arrays or traffic, and a session's state does not
+//!   grow with its stream.
 //! - **Backpressure** budgets come from certified quantities (the bank
 //!   ping-pong input window and `rap-bound`'s B002 worst-case output
 //!   occupancy), scaled by [`ServeConfig::queue_pages`] — not from

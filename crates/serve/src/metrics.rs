@@ -22,7 +22,7 @@ pub struct ServeMetrics {
     pub sessions_rejected: Counter,
     /// `rap_serve_bytes_scanned_total`: bytes the scan plane consumed.
     pub bytes_scanned: Counter,
-    /// `rap_serve_matches_delivered_total`: demuxed events handed to
+    /// `rap_serve_matches_delivered_total`: match events handed to
     /// tenants.
     pub matches_delivered: Counter,
     /// `rap_serve_backpressure_events_total`: times a producer was told
@@ -45,6 +45,9 @@ pub struct ServeMetrics {
     /// `rap_serve_swap_ns`: end-to-end hot-swap latency (analysis +
     /// drain + re-registration).
     pub swap_ns: Histogram,
+    /// `rap_serve_findings_dropped_total`: R-rule findings evicted from
+    /// the bounded findings log.
+    pub findings_dropped: Counter,
     registry: Registry,
 }
 
@@ -68,6 +71,7 @@ impl ServeMetrics {
             swaps_completed: registry.counter("rap_serve_swaps_total", &[("verdict", "completed")]),
             swaps_rejected: registry.counter("rap_serve_swaps_total", &[("verdict", "rejected")]),
             swap_ns: registry.histogram("rap_serve_swap_ns", &[]),
+            findings_dropped: registry.counter("rap_serve_findings_dropped_total", &[]),
             registry: registry.clone(),
         }
     }

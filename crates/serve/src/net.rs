@@ -43,14 +43,14 @@ pub const OP_SWAP: u8 = 0x04;
 pub const OP_ACCEPTED: u8 = 0x81;
 /// Server→client: registration refused (findings JSON payload).
 pub const OP_REJECTED: u8 = 0x82;
-/// Server→client: demuxed match events (12-byte records).
+/// Server→client: the session's match events (12-byte records).
 pub const OP_EVENTS: u8 = 0x83;
 /// Server→client: chunk verdict (one status byte).
 pub const OP_ACK: u8 = 0x84;
 /// Server→client: drain complete; the connection closes next.
 pub const OP_BYE: u8 = 0x85;
 
-/// Frame size cap: rejects runaway length prefixes before allocating.
+/// Frame size cap: rejects runaway length prefixes outright.
 const MAX_FRAME: usize = 64 << 20;
 
 pub(crate) fn write_frame(w: &mut impl Write, op: u8, payload: &[u8]) -> std::io::Result<()> {
@@ -70,8 +70,16 @@ pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<(u8, Vec<u8>)> {
             "frame over size cap",
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // Grow with the bytes that actually arrive: a claimed length alone
+    // never allocates.
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "frame payload truncated",
+        ));
+    }
     Ok((header[0], payload))
 }
 
@@ -389,5 +397,19 @@ impl Client {
         let events = decode_events(&payload);
         let _ = read_frame(&mut self.stream); // BYE
         Ok(events)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn truncated_payload_is_unexpected_eof() {
+        let mut wire = vec![OP_CHUNK];
+        wire.extend_from_slice(&(MAX_FRAME as u32).to_be_bytes());
+        wire.extend_from_slice(b"only a few bytes");
+        let err = read_frame(&mut wire.as_slice()).expect_err("stream ends early");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

@@ -3,8 +3,9 @@
 //! Where the V/A/B/C/S families judge artifacts before any byte is
 //! scanned, the R family records what actually happened while the
 //! service ran: refused registrations, certified-budget pressure, shed
-//! chunks, and graceful drains. A server accumulates one [`Report`]
-//! over its lifetime; `Server::findings` snapshots it.
+//! chunks, and graceful drains. A server keeps the newest
+//! [`FINDINGS_RETAINED`] findings in one [`Report`]; `Server::findings`
+//! snapshots it.
 
 use rap_diag::{RuleCode, Severity};
 
@@ -73,3 +74,8 @@ impl RuleCode for Rule {
 
 /// A report of R-rule findings accumulated by a running server.
 pub type Report = rap_diag::Report<Rule>;
+
+/// How many findings a server keeps. A long-running service records at
+/// least one R004/R005 finding per session, so older findings are
+/// evicted and counted in `rap_serve_findings_dropped_total`.
+pub(crate) const FINDINGS_RETAINED: usize = 1024;

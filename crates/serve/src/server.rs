@@ -5,9 +5,12 @@
 //! tenants. Registration re-runs admission over the residents plus the
 //! newcomer (warm-started from the pipeline's caches and persistent
 //! store, so a known pattern set performs zero compile-stage work); a
-//! refusal leaves the previous composition untouched. Scan jobs re-run
-//! `simulate_streaming` over each session's retained window and demux
-//! per-tenant events through [`ComposedPlan::tenant_matches`].
+//! refusal leaves the previous composition untouched. The composition
+//! fixes the shard's budgets and is what hot-swap analysis edits; it is
+//! never re-simulated. Admission certifies that each tenant's matches
+//! equal its solo run, so a scan job steps only the session's new bytes
+//! through the session's own [`rap_sim::StreamState`] over the tenant's
+//! solo plan.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -20,13 +23,13 @@ use std::time::Instant;
 use rap_admit::{AdmissionAnalysis, AdmitOptions, ComposedPlan};
 use rap_bound::BoundOptions;
 use rap_diag::Location;
-use rap_pipeline::{PatternSet, Pipeline, VerifiedPlan};
-use rap_sim::{max_match_span, MatchEvent, Simulator};
+use rap_pipeline::{PatternSet, Pipeline};
+use rap_sim::Simulator;
 use rap_telemetry::Telemetry;
 
 use crate::config::ServeConfig;
 use crate::metrics::ServeMetrics;
-use crate::rules::{Report, Rule};
+use crate::rules::{Report, Rule, FINDINGS_RETAINED};
 use crate::session::{Session, SessionInner};
 
 /// A service failure surfaced to the caller.
@@ -73,9 +76,8 @@ impl std::error::Error for ServeError {}
 
 /// One shard's current certified composition and its derived budgets.
 pub(crate) struct Tenancy {
-    /// The verified composed plan the scan plane executes.
-    pub plan: Arc<VerifiedPlan>,
-    /// The demux certificate (per-tenant pattern ranges).
+    /// The admitted composition: the resident footprint hot-swap
+    /// analysis edits.
     pub composed: ComposedPlan,
     /// Per-session intake budget in bytes: `queue_pages` ping-pong bank
     /// input windows per fabric bank.
@@ -102,9 +104,11 @@ pub(crate) struct Residency {
 
 /// Work items for a shard's scan thread.
 pub(crate) enum Job {
-    /// Re-scan a session's window (coalesced if already caught up).
+    /// Step a session's pending bytes (a no-op if an earlier job took
+    /// them).
     Scan(Arc<SessionInner>),
-    /// Final scan, then release the tenant's slot and recompose.
+    /// Final scan and end of stream, then release the tenant's slot and
+    /// recompose.
     Finish(Arc<SessionInner>),
     /// Exit the worker loop.
     Shutdown,
@@ -166,6 +170,7 @@ pub(crate) struct Shared {
     pub config: ServeConfig,
     pub telemetry: Arc<Telemetry>,
     pub metrics: ServeMetrics,
+    /// The newest [`FINDINGS_RETAINED`] findings.
     pub findings: Mutex<Report>,
     pub shards: Vec<Arc<ShardInner>>,
     pub active: AtomicU64,
@@ -177,12 +182,12 @@ pub(crate) struct Shared {
 
 impl Shared {
     pub fn finding(&self, rule: Rule, message: String) {
-        self.findings.lock().expect("findings lock poisoned").push(
-            rule,
-            rule.severity(),
-            Location::default(),
-            message,
-        );
+        let mut findings = self.findings.lock().expect("findings lock poisoned");
+        if findings.len() == FINDINGS_RETAINED {
+            findings.diagnostics.remove(0);
+            self.metrics.findings_dropped.inc();
+        }
+        findings.push(rule, rule.severity(), Location::default(), message);
     }
 
     fn simulator(&self) -> Simulator {
@@ -211,7 +216,8 @@ impl Shared {
 
     /// Re-runs admission over a shard's residents. Replaces the tenancy
     /// only on success; a refusal or stage failure leaves the previous
-    /// certified composition (and its running sessions) untouched.
+    /// certified composition untouched. Running sessions never see it:
+    /// each steps its own solo plan.
     fn recompose(&self, residency: &mut Residency) -> Result<(), ServeError> {
         if residency.tenants.is_empty() {
             residency.tenancy = None;
@@ -223,18 +229,15 @@ impl Shared {
             .iter()
             .map(|t| (t.name.as_str(), &sim, &t.patterns))
             .collect();
-        let admission = self
+        // The certificate alone: the service never executes the composed
+        // plan, so none is assembled or cached.
+        let mut analysis = self
             .pipeline
-            .admit(&tenants, &AdmitOptions::default())
+            .admit_analysis(&tenants, &AdmitOptions::default())
             .map_err(|e| ServeError::Pipeline(e.to_string()))?;
-        let Some(plan) = admission.plan.clone() else {
-            return Err(ServeError::Rejected(Box::new(admission.analysis)));
+        let Some(composed) = analysis.composed.take() else {
+            return Err(ServeError::Rejected(Box::new(analysis)));
         };
-        let composed = admission
-            .analysis
-            .composed
-            .clone()
-            .expect("admitted composition carries a certificate");
         // Certified budgets, not ad-hoc constants: the intake side is
         // sized in ping-pong bank input windows (§3.3 geometry), the
         // event side in B002 worst-case output-records occupancy.
@@ -254,21 +257,19 @@ impl Shared {
             })
             .collect();
         let bounds = rap_bound::analyze_bounds(
-            plan.compiled().images(),
+            &composed.images,
             &patterns,
-            plan.mapping(),
+            &composed.mapping,
             &BoundOptions::bounds_only(),
         );
-        let window = 2 * u64::from(plan.mapping().config.arch.bank_input_entries);
-        let input_budget =
-            (self.config.queue_pages * u64::from(admission.analysis.banks) * window).max(1);
+        let window = 2 * u64::from(composed.mapping.config.arch.bank_input_entries);
+        let input_budget = (self.config.queue_pages * u64::from(analysis.banks) * window).max(1);
         let events_budget = (self.config.queue_pages * bounds.bank.output_fifo_records).max(1);
         residency.tenancy = Some(Arc::new(Tenancy {
-            plan,
             composed,
             input_budget,
             events_budget,
-            banks: admission.analysis.banks,
+            banks: analysis.banks,
         }));
         Ok(())
     }
@@ -343,24 +344,14 @@ impl Shared {
             }
             residency.tenants.len()
         };
-        // Solo plan (cache-shared with the admission run above) for the
-        // session's anchoring flags and certified match span.
+        // The solo plan the session steps (cache-shared with the
+        // admission run above).
         let sim = self.simulator();
         let solo = self
             .pipeline
             .plan(&sim, patterns, None)
             .map_err(|e| ServeError::Pipeline(e.to_string()))?;
-        let images = solo.compiled().images();
-        let anchored_end: Vec<bool> = images.iter().map(|img| img.anchored_end()).collect();
-        let anchored_start = images.iter().any(|img| img.anchored_start());
-        let span = max_match_span(images);
-        let inner = Arc::new(SessionInner::new(
-            name,
-            Arc::clone(shard),
-            anchored_end,
-            anchored_start,
-            span,
-        ));
+        let inner = Arc::new(SessionInner::new(name, Arc::clone(shard), solo));
         self.metrics.sessions_admitted.inc();
         let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
         self.metrics.sessions_active.set(active);
@@ -421,7 +412,7 @@ impl Shared {
             match_base: None,
             slot: None,
         };
-        let arch = tenancy.plan.mapping().config.arch;
+        let arch = tenancy.composed.mapping.config.arch;
         let analysis = rap_swap::analyze_swap(
             &tenancy.composed,
             &outgoing_name,
@@ -498,8 +489,8 @@ impl Server {
             pipeline: Arc::new(pipeline),
             config,
             telemetry,
-            metrics,
             findings: Mutex::new(Report::default()),
+            metrics,
             shards,
             active: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
@@ -546,7 +537,8 @@ impl Server {
         &self.shared.metrics
     }
 
-    /// Snapshot of the R-rule findings accumulated so far.
+    /// Snapshot of the newest 1024 R-rule findings; older ones are
+    /// counted in `rap_serve_findings_dropped_total`.
     pub fn findings(&self) -> Report {
         self.shared
             .findings
@@ -679,106 +671,45 @@ fn worker(shared: &Arc<Shared>, shard: &Arc<ShardInner>) {
     }
 }
 
-struct Snapshot {
-    window: Vec<u8>,
-    trim: usize,
-    global_len: usize,
-    scanned_len: usize,
-    watermark: usize,
-}
-
-/// Re-scans a session's retained window through the shard's composed
-/// plan and delivers the fresh demuxed events. `fin` runs the final
-/// scan, which additionally delivers `$`-anchored matches.
+/// Steps a session's pending bytes through its own stream state and
+/// delivers the match events. `fin` also ends the stream, which releases
+/// the `$`-anchored matches ending at the true end of stream.
 fn scan(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionInner>, fin: bool) {
-    let snapshot = {
-        let st = session.lock();
+    // Taking the bytes under the stepper lock keeps steps in stream order.
+    let mut stepper = session.stepper.lock().expect("session stepper poisoned");
+    let Some(stream) = stepper.as_mut() else {
+        return; // The stream already finished.
+    };
+    let chunk = {
+        let mut st = session.lock();
         if st.drained {
             return;
         }
-        let caught_up = st.scanned_len == st.global_len;
-        // Coalesce: a queued scan whose bytes were already covered by a
-        // later batch is a no-op. The final scan still runs when any
-        // pattern is `$`-anchored (those matches only surface at EOS).
-        let has_anchored_end = session.anchored_end.iter().any(|&a| a);
-        if caught_up && !(fin && has_anchored_end && st.global_len > 0) {
-            return;
-        }
-        Snapshot {
-            window: st.history.clone(),
-            trim: st.trim,
-            global_len: st.global_len,
-            scanned_len: st.scanned_len,
-            watermark: st.watermark,
-        }
+        std::mem::take(&mut st.pending)
     };
-    let Some(tenancy) = shard.tenancy() else {
-        // No certified composition (pathological mid-teardown state):
-        // mark the bytes covered so waiters make progress.
-        let mut st = session.lock();
-        st.scanned_len = st.global_len;
-        session.cv.notify_all();
+    if chunk.is_empty() && !fin {
+        // An earlier job already stepped these bytes.
         return;
-    };
-    let Some(index) = tenancy
-        .composed
-        .tenants
-        .iter()
-        .position(|t| t.name == session.name)
-    else {
-        let mut st = session.lock();
-        st.scanned_len = st.global_len;
-        session.cv.notify_all();
-        return;
-    };
+    }
     let start = Instant::now();
-    let (result, stats) = tenancy.plan.simulate_streaming(&snapshot.window);
+    let (images, mapping) = (session.plan.compiled().images(), session.plan.mapping());
+    let mut fresh = stream.step(images, mapping, &chunk);
+    if fin {
+        let end = stepper.take().expect("checked above").finish();
+        fresh.extend(end.matches);
+    }
+    drop(stepper);
     let elapsed_ns = start.elapsed().as_nanos() as u64;
-    // Demux, globalize, and keep only events past the delivery
-    // watermark. `$`-anchored matches survive the simulator only at
-    // window end; they are deferred to the final scan, where the window
-    // end is the true end of stream.
-    let mine = tenancy.composed.tenant_matches(index, &result.matches);
-    let fresh: Vec<MatchEvent> = mine
-        .into_iter()
-        .filter_map(|m| {
-            let end = m.end + snapshot.trim;
-            let anchored = session.anchored_end[m.pattern];
-            let deliver = if fin {
-                end > snapshot.watermark || anchored
-            } else {
-                end > snapshot.watermark && !anchored
-            };
-            deliver.then_some(MatchEvent {
-                pattern: m.pattern,
-                end,
-            })
-        })
-        .collect();
-    let bytes_delta = (snapshot.global_len - snapshot.scanned_len) as u64;
+    let events_budget = shard.tenancy().map_or(u64::MAX, |t| t.events_budget);
+    let bytes = chunk.len() as u64;
     let over_events_budget = {
         let mut st = session.lock();
         st.events.extend(fresh.iter().copied());
-        st.watermark = snapshot.global_len;
-        st.scanned_len = st.scanned_len.max(snapshot.global_len);
-        st.stats.bytes_scanned += bytes_delta;
+        st.unscanned -= chunk.len();
+        st.stats.bytes_scanned += bytes;
         st.stats.scans += 1;
         st.stats.matches_delivered += fresh.len() as u64;
-        st.stats.output_interrupts += stats.output_interrupts;
-        // Trim the retained window to the certified match span. Only
-        // sound when the span is finite and no pattern is `^`-anchored
-        // (anchored matches depend on absolute position, not content).
-        if !session.anchored_start {
-            if let Some(span) = session.span {
-                let keep_from = snapshot.global_len.saturating_sub(span);
-                let cut = keep_from.saturating_sub(st.trim);
-                if cut > 0 {
-                    st.history.drain(..cut);
-                    st.trim += cut;
-                }
-            }
-        }
-        let over = st.events.len() as u64 > tenancy.events_budget;
+        let over = st.events.len() as u64 > events_budget;
         let first = over && !st.flagged.backpressure;
         if over {
             st.stats.backpressure_events += 1;
@@ -792,13 +723,13 @@ fn scan(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionInne
         shared.finding(
             Rule::SessionBackpressure,
             format!(
-                "tenant {:?} exceeded its certified event-queue budget ({} records)",
-                session.name, tenancy.events_budget
+                "tenant {:?} exceeded its certified event-queue budget ({events_budget} records)",
+                session.name
             ),
         );
     }
-    shared.metrics.bytes_scanned.add(bytes_delta);
-    shared.metrics.shard_bytes(shard.id).add(bytes_delta);
+    shared.metrics.bytes_scanned.add(bytes);
+    shared.metrics.shard_bytes(shard.id).add(bytes);
     shared.metrics.chunks_scanned.inc();
     shared.metrics.matches_delivered.add(fresh.len() as u64);
     shared
@@ -806,7 +737,6 @@ fn scan(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionInne
         .tenant_matches(&session.name)
         .add(fresh.len() as u64);
     shared.metrics.scan_ns.record(elapsed_ns);
-    rap_sim::record_bank_stats(&shared.telemetry, shared.config.machine, &stats);
 }
 
 /// Releases a drained session's slot and recomposes the remainder.
@@ -820,8 +750,8 @@ fn release(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionI
         let mut residency = shard.residency.lock().expect("shard residency poisoned");
         residency.tenants.retain(|t| t.name != session.name);
         if let Err(error) = shared.recompose(&mut residency) {
-            // Keep the departing composition: the remaining sessions'
-            // demux ranges stay valid, the departed arrays just idle.
+            // Keep the departing composition (and its budgets); the
+            // departed tenant's arrays just idle.
             shared.finding(
                 Rule::AdmissionRejected,
                 format!(
@@ -850,4 +780,26 @@ fn release(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionI
             session.name, shard.id
         ),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rap_pipeline::BenchConfig;
+
+    #[test]
+    fn findings_log_keeps_the_newest_and_counts_the_rest() {
+        let server = Server::new(
+            Pipeline::new(BenchConfig::default()),
+            ServeConfig::default(),
+        );
+        let extra = 5;
+        for i in 0..FINDINGS_RETAINED + extra {
+            server.shared.finding(Rule::SessionDrained, format!("#{i}"));
+        }
+        let findings = server.findings();
+        assert_eq!(findings.len(), FINDINGS_RETAINED);
+        assert_eq!(server.metrics().findings_dropped.get(), extra as u64);
+        assert_eq!(findings.diagnostics[0].message, format!("#{extra}"));
+    }
 }

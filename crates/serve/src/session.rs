@@ -2,18 +2,20 @@
 //! and graceful drain.
 //!
 //! A [`Session`] is the producer side of one tenant stream. Chunks are
-//! appended to a retained history window under the session lock; the
-//! shard worker re-scans the window through the composed plan and
-//! delivers the demuxed, globalized match events back into the
-//! session's event queue. Both directions are budgeted by quantities
-//! certified at admission time (see `Tenancy` in the server module).
+//! appended to a buffer of pending bytes under the session lock; the
+//! shard worker steps them through the session's own resumable
+//! simulator state over the tenant's solo plan and delivers the match
+//! events, with global offsets, into the session's event queue. Both
+//! directions are budgeted by quantities certified at admission time
+//! (see `Tenancy` in the server module).
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use rap_sim::MatchEvent;
+use rap_pipeline::VerifiedPlan;
+use rap_sim::{MatchEvent, StreamState};
 
 use crate::rules::Rule;
 use crate::server::{Job, ServeError, ShardInner, Shared};
@@ -49,24 +51,15 @@ pub struct SessionStats {
     pub scans: u64,
     /// Match events delivered to this session's queue.
     pub matches_delivered: u64,
-    /// Host output interrupts raised by the bank model while scanning
-    /// this session's batches.
-    pub output_interrupts: u64,
 }
 
-/// Mutable stream state, guarded by the session mutex.
-pub(crate) struct StreamState {
-    /// Retained input window; global offset of `history[0]` is `trim`.
-    pub history: Vec<u8>,
-    /// Global offset of the first retained byte.
-    pub trim: usize,
-    /// Total bytes accepted (global stream length).
-    pub global_len: usize,
-    /// Bytes covered by completed scans.
-    pub scanned_len: usize,
-    /// Delivery watermark: events ending at or before this global
-    /// offset have already been delivered.
-    pub watermark: usize,
+/// Mutable producer/consumer state, guarded by the session mutex.
+#[derive(Default)]
+pub(crate) struct SessionState {
+    /// Accepted bytes the worker has not taken for a step yet.
+    pub pending: Vec<u8>,
+    /// Accepted bytes not yet scanned (pending or being stepped).
+    pub unscanned: usize,
     /// Delivered-but-undrained match events (global `end` offsets).
     pub events: VecDeque<MatchEvent>,
     /// Session counters.
@@ -88,69 +81,45 @@ pub(crate) struct Flagged {
     pub shed: bool,
 }
 
-impl StreamState {
-    fn new() -> StreamState {
-        StreamState {
-            history: Vec::new(),
-            trim: 0,
-            global_len: 0,
-            scanned_len: 0,
-            watermark: 0,
-            events: VecDeque::new(),
-            stats: SessionStats::default(),
-            finished: false,
-            drained: false,
-            flagged: Flagged::default(),
-        }
-    }
-
-    /// Bytes accepted but not yet scanned.
-    pub fn pending(&self) -> usize {
-        self.global_len - self.scanned_len
-    }
-}
-
 /// Shared session core; the worker holds clones via scan jobs.
 pub(crate) struct SessionInner {
     /// Tenant name (unique on the shard).
     pub name: String,
     /// The hosting shard.
     pub shard: Arc<ShardInner>,
-    /// Per-pattern `$`-anchoring: such matches are only valid at end of
-    /// stream, so delivery defers them to the final scan.
-    pub anchored_end: Vec<bool>,
-    /// Whether any pattern is `^`-anchored (disables window trimming —
-    /// anchored matches are position-dependent, not content-determined).
-    pub anchored_start: bool,
-    /// Certified match-span bound; `None` (cyclic automaton) disables
-    /// window trimming.
-    pub span: Option<usize>,
-    /// Stream state.
-    pub state: Mutex<StreamState>,
+    /// The tenant's solo plan. Admission certifies that a tenant's
+    /// matches in any composition equal its solo run, so the session
+    /// steps this plan alone, whatever shares the shard.
+    pub plan: Arc<VerifiedPlan>,
+    /// The persisted simulator state over `plan`; `None` once the final
+    /// scan finished the stream. Only the shard worker locks it, and
+    /// never while holding `state`.
+    pub stepper: Mutex<Option<StreamState<'static>>>,
+    /// Producer/consumer state.
+    pub state: Mutex<SessionState>,
     /// Signalled on scan completion and drain.
     pub cv: Condvar,
 }
 
 impl SessionInner {
-    pub fn new(
-        name: &str,
-        shard: Arc<ShardInner>,
-        anchored_end: Vec<bool>,
-        anchored_start: bool,
-        span: Option<usize>,
-    ) -> SessionInner {
+    pub fn new(name: &str, shard: Arc<ShardInner>, plan: Arc<VerifiedPlan>) -> SessionInner {
+        let stepper = StreamState::new(
+            plan.compiled().images(),
+            plan.mapping(),
+            plan.compiled().machine(),
+            None,
+        );
         SessionInner {
             name: name.to_string(),
             shard,
-            anchored_end,
-            anchored_start,
-            span,
-            state: Mutex::new(StreamState::new()),
+            plan,
+            stepper: Mutex::new(Some(stepper)),
+            state: Mutex::new(SessionState::default()),
             cv: Condvar::new(),
         }
     }
 
-    pub fn lock(&self) -> MutexGuard<'_, StreamState> {
+    pub fn lock(&self) -> MutexGuard<'_, SessionState> {
         self.state.lock().expect("session lock poisoned")
     }
 }
@@ -187,7 +156,7 @@ impl Session {
 
     /// Bytes accepted but not yet scanned.
     pub fn pending_bytes(&self) -> usize {
-        self.inner.lock().pending()
+        self.inner.lock().unscanned
     }
 
     /// Streams one chunk. Returns the budget verdict; `Shed` means the
@@ -212,7 +181,7 @@ impl Session {
             if st.finished || st.drained {
                 return Err(ServeError::SessionClosed);
             }
-            if st.pending() + chunk.len() > budget {
+            if st.unscanned + chunk.len() > budget {
                 st.stats.chunks_shed += 1;
                 st.stats.backpressure_events += 1;
                 let first_bp = !st.flagged.backpressure;
@@ -221,11 +190,11 @@ impl Session {
                 st.flagged.shed = true;
                 (SendOutcome::Shed, first_bp, first_shed)
             } else {
-                st.history.extend_from_slice(chunk);
-                st.global_len += chunk.len();
+                st.pending.extend_from_slice(chunk);
+                st.unscanned += chunk.len();
                 st.stats.chunks_sent += 1;
                 st.stats.bytes_sent += chunk.len() as u64;
-                if st.pending() * 2 > budget {
+                if st.unscanned * 2 > budget {
                     st.stats.backpressure_events += 1;
                     let first_bp = !st.flagged.backpressure;
                     st.flagged.backpressure = true;
@@ -284,7 +253,7 @@ impl Session {
     /// session drained, or the server began shutting down).
     pub fn wait_idle(&self) {
         let mut st = self.inner.lock();
-        while st.scanned_len < st.global_len && !st.drained {
+        while st.unscanned > 0 && !st.drained {
             if self.shared.stopping.load(Ordering::Relaxed) {
                 return;
             }

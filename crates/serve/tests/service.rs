@@ -1,4 +1,4 @@
-//! End-to-end service tests: demux fidelity against solo streaming runs,
+//! End-to-end service tests: per-tenant fidelity to solo streaming runs,
 //! certified backpressure, graceful drain, warm-start registration, and
 //! the framed TCP protocol.
 
@@ -225,7 +225,7 @@ fn telemetry_counters_track_the_ops_surface() {
         "rap_serve_matches_delivered_total",
         "rap_serve_backpressure_events_total",
         "rap_serve_chunk_scan_ns",
-        "rap_sim_output_fifo_hwm_records",
+        "rap_serve_findings_dropped_total",
     ] {
         assert!(prom.contains(metric), "{metric} missing from exposition");
     }

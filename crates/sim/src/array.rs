@@ -10,28 +10,23 @@
 //! which is what toggles the switch fabric during that cycle's state
 //! transition.
 //!
-//! The [`run_array`] wrapper drives a machine over a whole input slice
-//! (used by the batch `simulate` entry point); the bank-level streaming
-//! simulation in [`crate::bank`] interleaves several machines cycle by
-//! cycle through the §3.3 buffer hierarchy.
+//! A machine is plain owned data (run configurations, stall counter,
+//! power counters), so it persists between input chunks; each tick
+//! borrows the array's [`Automata`]. The resumable [`crate::StreamState`]
+//! drives one machine per array over each chunk; the bank-level
+//! streaming simulation in [`crate::bank`] interleaves several machines
+//! cycle by cycle through the §3.3 buffer hierarchy.
 
 use crate::cost::CostModel;
 use crate::result::MatchEvent;
+use rap_automata::lnfa::{Lnfa, ShiftAndRun};
+use rap_automata::nbva::{Nbva, NbvaRun};
+use rap_automata::nfa::{Nfa, NfaRun};
 use rap_circuit::energy::Category;
 use rap_circuit::{EnergyMeter, Machine};
 use rap_compiler::{Compiled, CompiledLnfa, CompiledNbva, CompiledNfa, MatchPath};
 use rap_mapper::{ArrayKind, ArrayPlan, Bin, Placement};
-use rap_telemetry::{ProbeEvent, SimProbe};
-
-/// What one array produced: its private cycle count (stalls included), its
-/// match reports, and the tile-cycles that were actually powered (gated
-/// tiles leak ~nothing, which is where LNFA mode's §3.2 savings and the
-/// NBVA phase's §3.3 tile-disabling come from).
-pub(crate) struct ArrayOutcome {
-    pub cycles: u64,
-    pub matches: Vec<MatchEvent>,
-    pub powered_tile_cycles: u64,
-}
+use rap_telemetry::ProbeEvent;
 
 /// A point-in-time activity sample of one array, as seen by a telemetry
 /// probe (see [`ArraySim::observe`]).
@@ -43,17 +38,52 @@ pub(crate) struct ArrayObservation {
     pub powered_tiles: u64,
 }
 
+/// The automata one array steps against, in placement (or chain) order.
+pub(crate) enum Automata<'a> {
+    Nfa(Vec<&'a Nfa>),
+    Nbva(Vec<&'a Nbva>),
+    Lnfa(Vec<&'a Lnfa>),
+}
+
+impl<'a> Automata<'a> {
+    /// Resolves the automata `plan` places from the compiled images.
+    pub(crate) fn of(compiled: &'a [Compiled], plan: &ArrayPlan) -> Automata<'a> {
+        match &plan.kind {
+            ArrayKind::Nfa { placements } => Automata::Nfa(
+                placements
+                    .iter()
+                    .map(|p| &expect_nfa(compiled, p.pattern).nfa)
+                    .collect(),
+            ),
+            ArrayKind::Nbva { placements, .. } => Automata::Nbva(
+                placements
+                    .iter()
+                    .map(|p| &expect_nbva(compiled, p.pattern).nbva)
+                    .collect(),
+            ),
+            ArrayKind::Lnfa { bins } => Automata::Lnfa(
+                bins.iter()
+                    .flat_map(|bin| &bin.members)
+                    .map(|m| &expect_lnfa(compiled, m.pattern).units[m.unit].lnfa)
+                    .collect(),
+            ),
+        }
+    }
+}
+
 /// A cycle-steppable array.
-pub(crate) trait ArraySim {
+pub(crate) trait ArraySim: Send {
     /// Whether the next cycle is a stall cycle (the array will not accept
     /// an input byte).
     fn stalled(&self) -> bool;
 
-    /// Advances one clock cycle. When not stalled, `byte` must be the next
-    /// input symbol and `offset` its 0-based position; matches ending this
-    /// cycle are appended to `out`. When stalled, `byte` is ignored.
+    /// Advances one clock cycle against `automata` (this array's, from
+    /// [`Automata::of`]). When not stalled, `byte` must be the next input
+    /// symbol and `offset` its 0-based position; matches ending this cycle
+    /// are appended to `out`. When stalled, `byte` is ignored.
     fn tick(
         &mut self,
+        automata: &Automata<'_>,
         byte: Option<u8>,
         offset: usize,
         meter: &mut EnergyMeter,
@@ -66,80 +96,32 @@ pub(crate) trait ArraySim {
     /// Samples the array's current activity for a telemetry probe. Pure
     /// observation: never charges energy or mutates state.
     fn observe(&self) -> ArrayObservation;
+
+    /// The probe event sampling this array, as array `index`, at `cycle`.
+    fn sample(&self, cycle: u64, index: u32) -> ProbeEvent {
+        let obs = self.observe();
+        ProbeEvent::Array {
+            cycle,
+            array: index,
+            active_states: obs.active_states,
+            powered_tiles: obs.powered_tiles,
+            stalled: self.stalled(),
+        }
+    }
 }
 
-/// Builds the steppable machine for an array plan.
-pub(crate) fn build_array<'a>(
-    compiled: &'a [Compiled],
-    plan: &'a ArrayPlan,
+/// Builds the fresh steppable machine for an array plan.
+pub(crate) fn build_array(
+    compiled: &[Compiled],
+    plan: &ArrayPlan,
     cost: &CostModel,
-) -> Box<dyn ArraySim + 'a> {
+) -> Box<dyn ArraySim> {
     match &plan.kind {
         ArrayKind::Nfa { placements } => Box::new(NfaArray::new(compiled, placements, plan, *cost)),
         ArrayKind::Nbva { depth, placements } => {
             Box::new(NbvaArray::new(compiled, placements, plan, *depth, *cost))
         }
         ArrayKind::Lnfa { bins } => Box::new(LnfaArray::new(compiled, bins, plan, *cost)),
-    }
-}
-
-/// Drives one array over a whole input slice (stalls expanded in place).
-///
-/// When a telemetry probe is attached (as `(probe, array index)`), the
-/// loop emits an [`ProbeEvent::Array`] sample every
-/// [`SimProbe::sample_every`] cycles and one [`ProbeEvent::ArrayEnd`]
-/// summary at the end. Probing only observes — energy, cycles, and
-/// matches are identical with and without it.
-pub(crate) fn run_array(
-    sim: &mut dyn ArraySim,
-    input: &[u8],
-    meter: &mut EnergyMeter,
-    mut probe: Option<(&mut SimProbe, u32)>,
-) -> ArrayOutcome {
-    let mut cycles = 0u64;
-    let mut matches = Vec::new();
-    let mut step = |sim: &mut dyn ArraySim,
-                    byte: Option<u8>,
-                    offset: usize,
-                    cycles: &mut u64,
-                    matches: &mut Vec<MatchEvent>| {
-        if let Some((probe, array)) = probe.as_mut() {
-            if (*cycles).is_multiple_of(u64::from(probe.sample_every())) {
-                let obs = sim.observe();
-                probe.push(ProbeEvent::Array {
-                    cycle: *cycles,
-                    array: *array,
-                    active_states: obs.active_states,
-                    powered_tiles: obs.powered_tiles,
-                    stalled: sim.stalled(),
-                });
-            }
-        }
-        sim.tick(byte, offset, meter, matches);
-        *cycles += 1;
-    };
-    for (offset, &byte) in input.iter().enumerate() {
-        while sim.stalled() {
-            step(sim, None, offset, &mut cycles, &mut matches);
-        }
-        step(sim, Some(byte), offset, &mut cycles, &mut matches);
-    }
-    while sim.stalled() {
-        step(sim, None, input.len(), &mut cycles, &mut matches);
-    }
-    if let Some((probe, array)) = probe {
-        probe.push(ProbeEvent::ArrayEnd {
-            array,
-            cycles,
-            stall_cycles: cycles.saturating_sub(input.len() as u64),
-            powered_tile_cycles: sim.powered_tile_cycles(),
-            matches: matches.len() as u64,
-        });
-    }
-    ArrayOutcome {
-        cycles,
-        matches,
-        powered_tile_cycles: sim.powered_tile_cycles(),
     }
 }
 
@@ -209,25 +191,15 @@ fn charge_nfa_cycle(
     meter.charge(Category::Wire, cost.wire_pj * f64::from(cross_signals));
 }
 
-/// Whether each state of each placement has a successor in a different
-/// tile (its active signal must traverse the global switch).
-fn cross_tile_flags<S>(
-    placements: &[Placement],
-    states_of: impl Fn(usize) -> Vec<(usize, S)>,
-    succ_of: impl Fn(&S) -> Vec<u32>,
-) -> Vec<Vec<bool>> {
-    placements
-        .iter()
+/// Whether each state of a placement, given its successor lists, has a
+/// successor in a different tile (its active signal must traverse the
+/// global switch).
+fn cross_tile_flags<'s>(p: &Placement, succs: impl Iterator<Item = &'s [u32]>) -> Vec<bool> {
+    succs
         .enumerate()
-        .map(|(i, p)| {
-            states_of(i)
-                .into_iter()
-                .map(|(q, s)| {
-                    succ_of(&s)
-                        .into_iter()
-                        .any(|succ| p.state_tile[succ as usize] != p.state_tile[q])
-                })
-                .collect()
+        .map(|(q, succ)| {
+            succ.iter()
+                .any(|&s| p.state_tile[s as usize] != p.state_tile[q])
         })
         .collect()
 }
@@ -237,9 +209,9 @@ fn cross_tile_flags<S>(
 // ---------------------------------------------------------------------
 
 /// Basic NFA array (§2.2): every tile searches and routes every cycle.
-pub(crate) struct NfaArray<'a> {
-    placements: &'a [Placement],
-    runs: Vec<rap_automata::nfa::NfaRun<'a>>,
+struct NfaArray {
+    placements: Vec<Placement>,
+    runs: Vec<NfaRun>,
     crosses: Vec<Vec<bool>>,
     tiles: usize,
     cost: CostModel,
@@ -247,32 +219,24 @@ pub(crate) struct NfaArray<'a> {
     powered_tile_cycles: u64,
 }
 
-impl<'a> NfaArray<'a> {
-    pub(crate) fn new(
-        compiled: &'a [Compiled],
-        placements: &'a [Placement],
+impl NfaArray {
+    fn new(
+        compiled: &[Compiled],
+        placements: &[Placement],
         plan: &ArrayPlan,
         cost: CostModel,
-    ) -> NfaArray<'a> {
+    ) -> NfaArray {
         let images: Vec<&CompiledNfa> = placements
             .iter()
             .map(|p| expect_nfa(compiled, p.pattern))
             .collect();
-        let crosses = cross_tile_flags(
-            placements,
-            |i| {
-                images[i]
-                    .nfa
-                    .states()
-                    .iter()
-                    .cloned()
-                    .enumerate()
-                    .collect::<Vec<_>>()
-            },
-            |s| s.succ.clone(),
-        );
+        let crosses = placements
+            .iter()
+            .zip(&images)
+            .map(|(p, img)| cross_tile_flags(p, img.nfa.states().iter().map(|s| &s.succ[..])))
+            .collect();
         NfaArray {
-            placements,
+            placements: placements.to_vec(),
             runs: images.iter().map(|img| img.nfa.start()).collect(),
             crosses,
             tiles: plan.tiles_used as usize,
@@ -283,19 +247,22 @@ impl<'a> NfaArray<'a> {
     }
 }
 
-impl ArraySim for NfaArray<'_> {
+impl ArraySim for NfaArray {
     fn stalled(&self) -> bool {
         false
     }
 
     fn tick(
         &mut self,
+        automata: &Automata<'_>,
         byte: Option<u8>,
         offset: usize,
         meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     ) {
-        let byte = byte.expect("NFA arrays never stall");
+        let (Automata::Nfa(nfas), Some(byte)) = (automata, byte) else {
+            unreachable!("NFA arrays step NFAs and never stall")
+        };
         // Activity entering this cycle drives the transition fabric.
         self.tile_active.iter_mut().for_each(|c| *c = 0);
         let mut cross_signals = 0u32;
@@ -313,10 +280,10 @@ impl ArraySim for NfaArray<'_> {
         charge_nfa_cycle(meter, &self.cost, &self.tile_active, cross_signals);
         charge_overheads(meter, &self.cost, self.tiles as u32);
         self.powered_tile_cycles += self.tiles as u64;
-        for (i, run) in self.runs.iter_mut().enumerate() {
-            if run.step(byte) {
+        for ((p, run), nfa) in self.placements.iter().zip(&mut self.runs).zip(nfas) {
+            if run.step(nfa, byte) {
                 out.push(MatchEvent {
-                    pattern: self.placements[i].pattern,
+                    pattern: p.pattern,
                     end: offset + 1,
                 });
             }
@@ -342,9 +309,9 @@ impl ArraySim for NfaArray<'_> {
 /// NBVA array (§3.1): NFA-style matching plus the event-driven
 /// bit-vector-processing phase, which stalls the whole array for `depth`
 /// cycles (or the fixed BVM latency on BVAP).
-pub(crate) struct NbvaArray<'a> {
-    placements: &'a [Placement],
-    runs: Vec<rap_automata::nbva::NbvaRun<'a>>,
+struct NbvaArray {
+    placements: Vec<Placement>,
+    runs: Vec<NbvaRun>,
     /// (placement idx, state id, tile) of every BV state.
     bv_states: Vec<(usize, u32, u32)>,
     crosses: Vec<Vec<bool>>,
@@ -360,14 +327,14 @@ pub(crate) struct NbvaArray<'a> {
     powered_tile_cycles: u64,
 }
 
-impl<'a> NbvaArray<'a> {
-    pub(crate) fn new(
-        compiled: &'a [Compiled],
-        placements: &'a [Placement],
+impl NbvaArray {
+    fn new(
+        compiled: &[Compiled],
+        placements: &[Placement],
         plan: &ArrayPlan,
         depth: u32,
         cost: CostModel,
-    ) -> NbvaArray<'a> {
+    ) -> NbvaArray {
         let images: Vec<&CompiledNbva> = placements
             .iter()
             .map(|p| expect_nbva(compiled, p.pattern))
@@ -385,26 +352,18 @@ impl<'a> NbvaArray<'a> {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let crosses = cross_tile_flags(
-            placements,
-            |i| {
-                images[i]
-                    .nbva
-                    .states()
-                    .iter()
-                    .cloned()
-                    .enumerate()
-                    .collect::<Vec<_>>()
-            },
-            |s| s.succ.clone(),
-        );
+        let crosses = placements
+            .iter()
+            .zip(&images)
+            .map(|(p, img)| cross_tile_flags(p, img.nbva.states().iter().map(|s| &s.succ[..])))
+            .collect();
         let stall_per_phase = if cost.machine == Machine::Bvap {
             cost.bvap_stall_cycles
         } else {
             u64::from(depth)
         };
         NbvaArray {
-            placements,
+            placements: placements.to_vec(),
             runs: images.iter().map(|img| img.nbva.start()).collect(),
             bv_states,
             crosses,
@@ -420,13 +379,14 @@ impl<'a> NbvaArray<'a> {
     }
 }
 
-impl ArraySim for NbvaArray<'_> {
+impl ArraySim for NbvaArray {
     fn stalled(&self) -> bool {
         self.stall_remaining > 0
     }
 
     fn tick(
         &mut self,
+        automata: &Automata<'_>,
         byte: Option<u8>,
         offset: usize,
         meter: &mut EnergyMeter,
@@ -445,7 +405,9 @@ impl ArraySim for NbvaArray<'_> {
             );
             return;
         }
-        let byte = byte.expect("non-stalled tick needs an input byte");
+        let (Automata::Nbva(nbvas), Some(byte)) = (automata, byte) else {
+            unreachable!("NBVA arrays step NBVAs and a non-stalled tick needs a byte")
+        };
         self.powered_tile_cycles += self.tiles as u64;
         self.tile_active.iter_mut().for_each(|c| *c = 0);
         let mut cross_signals = 0u32;
@@ -470,12 +432,12 @@ impl ArraySim for NbvaArray<'_> {
         charge_overheads(meter, &self.cost, self.tiles as u32);
 
         let mut bv_phase = false;
-        for (i, run) in self.runs.iter_mut().enumerate() {
-            let info = run.step_detailed(byte);
+        for ((p, run), nbva) in self.placements.iter().zip(&mut self.runs).zip(nbvas) {
+            let info = run.step_detailed(nbva, byte);
             bv_phase |= info.bv_touched;
             if info.matched {
                 out.push(MatchEvent {
-                    pattern: self.placements[i].pattern,
+                    pattern: p.pattern,
                     end: offset + 1,
                 });
             }
@@ -517,9 +479,9 @@ impl ArraySim for NbvaArray<'_> {
 // ---------------------------------------------------------------------
 
 /// One mapped chain inside an LNFA array.
-struct ChainRun<'a> {
+struct ChainRun {
     pattern: usize,
-    run: rap_automata::lnfa::ShiftAndRun<'a>,
+    run: ShiftAndRun,
     /// Absolute tile index of every chain position.
     state_tile: Vec<u32>,
     len: usize,
@@ -527,8 +489,8 @@ struct ChainRun<'a> {
 
 /// LNFA array (§3.2): Shift-And in the active vector, power-gated tiles,
 /// ring routing between adjacent tiles.
-pub(crate) struct LnfaArray<'a> {
-    chains: Vec<ChainRun<'a>>,
+struct LnfaArray {
+    chains: Vec<ChainRun>,
     tile_cam: Vec<bool>,
     tile_switch: Vec<bool>,
     tile_initial: Vec<bool>,
@@ -540,15 +502,10 @@ pub(crate) struct LnfaArray<'a> {
     powered_tile_cycles: u64,
 }
 
-impl<'a> LnfaArray<'a> {
-    pub(crate) fn new(
-        compiled: &'a [Compiled],
-        bins: &'a [Bin],
-        plan: &ArrayPlan,
-        cost: CostModel,
-    ) -> LnfaArray<'a> {
+impl LnfaArray {
+    fn new(compiled: &[Compiled], bins: &[Bin], plan: &ArrayPlan, cost: CostModel) -> LnfaArray {
         let tiles = plan.tiles_used as usize;
-        let mut chains: Vec<ChainRun<'a>> = Vec::new();
+        let mut chains: Vec<ChainRun> = Vec::new();
         // Which powered tiles search via the CAM vs the one-hot local
         // switch, and which tiles hold initial states (never power-gated).
         let mut tile_cam = vec![false; tiles];
@@ -598,19 +555,22 @@ impl<'a> LnfaArray<'a> {
     }
 }
 
-impl ArraySim for LnfaArray<'_> {
+impl ArraySim for LnfaArray {
     fn stalled(&self) -> bool {
         false
     }
 
     fn tick(
         &mut self,
+        automata: &Automata<'_>,
         byte: Option<u8>,
         offset: usize,
         meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     ) {
-        let byte = byte.expect("LNFA arrays never stall");
+        let (Automata::Lnfa(lnfas), Some(byte)) = (automata, byte) else {
+            unreachable!("LNFA arrays step LNFAs and never stall")
+        };
         // A tile is powered if it holds an initial state or a state that
         // can become active this cycle (an active predecessor shifts in).
         self.powered.copy_from_slice(&self.tile_initial);
@@ -658,8 +618,8 @@ impl ArraySim for LnfaArray<'_> {
         self.powered_tile_cycles += u64::from(powered_count);
         charge_overheads(meter, &self.cost, powered_count);
 
-        for chain in self.chains.iter_mut() {
-            if chain.run.step(byte) {
+        for (chain, lnfa) in self.chains.iter_mut().zip(lnfas) {
+            if chain.run.step(lnfa, byte) {
                 out.push(MatchEvent {
                     pattern: chain.pattern,
                     end: offset + 1,
@@ -697,7 +657,6 @@ impl ArraySim for LnfaArray<'_> {
 mod tests {
     use super::*;
     use rap_compiler::{Compiler, CompilerConfig, Mode};
-    use rap_telemetry::{Telemetry, TelemetryConfig};
 
     /// Compiles `xy{6}z` to NBVA and places it by hand on a 2-tile array:
     /// `x` on tile 0, the `y{6}` bit-vector state and `z` on tile 1.
@@ -730,16 +689,25 @@ mod tests {
         (vec![compiled], plan)
     }
 
-    fn run(
-        compiled: &[Compiled],
-        plan: &ArrayPlan,
-        input: &[u8],
-        probe: Option<(&mut SimProbe, u32)>,
-    ) -> ArrayOutcome {
+    /// Drives one array over `input`, running each bit-vector phase out
+    /// before the next byte. Returns (cycles, powered tile-cycles,
+    /// matches).
+    fn run(compiled: &[Compiled], plan: &ArrayPlan, input: &[u8]) -> (u64, u64, Vec<MatchEvent>) {
         let cost = CostModel::for_machine(Machine::Rap);
         let mut meter = EnergyMeter::new();
-        let mut sim = build_array(compiled, plan, &cost);
-        run_array(sim.as_mut(), input, &mut meter, probe)
+        let mut state = build_array(compiled, plan, &cost);
+        let automata = Automata::of(compiled, plan);
+        let mut cycles = 0u64;
+        let mut matches = Vec::new();
+        for (offset, &byte) in input.iter().enumerate() {
+            state.tick(&automata, Some(byte), offset, &mut meter, &mut matches);
+            cycles += 1;
+            while state.stalled() {
+                state.tick(&automata, None, offset, &mut meter, &mut matches);
+                cycles += 1;
+            }
+        }
+        (cycles, state.powered_tile_cycles(), matches)
     }
 
     #[test]
@@ -750,11 +718,11 @@ mod tests {
         // the `q`s clear the vector and nothing else fires. Hand count:
         //   cycles  = 6 input + 3 stall            = 9
         //   powered = 6 * 2 tiles + 3 * 1 tile     = 15 tile-cycles
-        let outcome = run(&compiled, &plan, b"xyqqqq", None);
-        assert_eq!(outcome.cycles, 9);
-        assert_eq!(outcome.cycles - 6, 3, "stall cycles");
-        assert_eq!(outcome.powered_tile_cycles, 15);
-        assert!(outcome.matches.is_empty());
+        let (cycles, powered, matches) = run(&compiled, &plan, b"xyqqqq");
+        assert_eq!(cycles, 9);
+        assert_eq!(cycles - 6, 3, "stall cycles");
+        assert_eq!(powered, 15);
+        assert!(matches.is_empty());
     }
 
     #[test]
@@ -764,49 +732,10 @@ mod tests {
         // BV phases fire before `z` completes the match at end offset 8:
         //   cycles  = 8 input + 6 * 3 stall        = 26
         //   powered = 8 * 2 tiles + 18 * 1 tile    = 34 tile-cycles
-        let outcome = run(&compiled, &plan, b"xyyyyyyz", None);
-        assert_eq!(outcome.cycles, 26);
-        assert_eq!(outcome.cycles - 8, 18, "stall cycles");
-        assert_eq!(outcome.powered_tile_cycles, 34);
-        assert_eq!(outcome.matches, vec![MatchEvent { pattern: 0, end: 8 }]);
-    }
-
-    #[test]
-    fn probe_samples_every_cycle_and_flags_stalls() {
-        let (compiled, plan) = two_tile_nbva(3);
-        let tel = Telemetry::new(TelemetryConfig {
-            sample_every: 1,
-            ring_capacity: 1024,
-        });
-        let mut probe = tel.probe("unit");
-        let outcome = run(&compiled, &plan, b"xyqqqq", Some((&mut probe, 7)));
-        probe.finish();
-        assert_eq!(outcome.cycles, 9);
-        let traces = tel.drain_traces();
-        assert_eq!(traces.len(), 1);
-        let events = &traces[0].events;
-        // One sample per cycle plus the end-of-array summary.
-        assert_eq!(events.len(), 10);
-        let stalled: Vec<&ProbeEvent> = events
-            .iter()
-            .filter(|e| matches!(e, ProbeEvent::Array { stalled: true, .. }))
-            .collect();
-        assert_eq!(stalled.len(), 3);
-        for e in &stalled {
-            if let ProbeEvent::Array { powered_tiles, .. } = e {
-                // Only the live-vector tile stays powered during the phase.
-                assert_eq!(*powered_tiles, 1);
-            }
-        }
-        assert!(matches!(
-            events.last(),
-            Some(ProbeEvent::ArrayEnd {
-                array: 7,
-                cycles: 9,
-                stall_cycles: 3,
-                powered_tile_cycles: 15,
-                matches: 0,
-            })
-        ));
+        let (cycles, powered, matches) = run(&compiled, &plan, b"xyyyyyyz");
+        assert_eq!(cycles, 26);
+        assert_eq!(cycles - 8, 18, "stall cycles");
+        assert_eq!(powered, 34);
+        assert_eq!(matches, vec![MatchEvent { pattern: 0, end: 8 }]);
     }
 }

@@ -1,12 +1,14 @@
 //! Bank-level streaming simulation: the two-level buffer hierarchy of
 //! §3.3, cycle-interleaved across arrays.
 //!
-//! The batch [`crate::simulate`] entry point runs each array to completion
-//! independently (correct for completion time, since arrays are decoupled
-//! and the bank finishes with its slowest array). This module simulates
-//! the hierarchy explicitly, cycle by cycle:
+//! The resumable [`crate::StreamState`] (and so the batch
+//! [`crate::simulate`]) advances each array over a chunk independently
+//! (correct for completion time, since arrays are decoupled and the bank
+//! finishes with its slowest array). This module is the §3.3 buffer
+//! study: it simulates the hierarchy explicitly, cycle by cycle, with the
+//! geometry of the mapping's [`ArchConfig`](rap_arch::config::ArchConfig):
 //!
-//! * a **bank input ping-pong buffer** (2 × 128 entries) fed by DMA — an
+//! * a **bank input ping-pong buffer** (2 × 128 entries by default) fed by DMA — an
 //!   array can only read bytes inside the bank window, and a page is
 //!   recycled only once *every* array has consumed it, so a stalling NBVA
 //!   array eventually back-pressures the fast arrays;
@@ -20,11 +22,10 @@
 //! identical matches) plus [`BankStats`] — stalls, starvation, buffer
 //! occupancy, interrupts — for studying the buffering itself.
 
-use crate::array::{build_array, ArraySim};
+use crate::array::{build_array, ArraySim, Automata};
 use crate::cost::CostModel;
 use crate::result::{MatchEvent, RunResult};
 use rap_arch::buffers::Fifo;
-use rap_arch::config::ArchConfig;
 use rap_circuit::energy::Category;
 use rap_circuit::{EnergyMeter, Machine, Metrics};
 use rap_compiler::Compiled;
@@ -57,7 +58,8 @@ pub struct BankStats {
 
 /// Per-array streaming state.
 struct ArrayLane<'a> {
-    sim: Box<dyn ArraySim + 'a>,
+    sim: Box<dyn ArraySim>,
+    automata: Automata<'a>,
     input_fifo: Fifo<(usize, u8)>,
     output_fifo: Fifo<MatchEvent>,
     /// Next input byte index the arbiter will fetch for this lane.
@@ -72,10 +74,15 @@ struct ArrayLane<'a> {
     pending: Vec<MatchEvent>,
 }
 
-/// Streams `input` through the bank buffer hierarchy.
+/// Streams `input` through the bank buffer hierarchy of the mapping's
+/// architecture (`mapping.config.arch`, the geometry the plan was bounded
+/// and admitted under).
 ///
 /// The mapping must have passed the verify gate, exactly as for the batch
 /// [`crate::simulate`] entry point; debug builds assert this at the door.
+/// With a trace (`(telemetry, label)`), cycle-sampled probe events (per-lane
+/// array samples plus bank window/FIFO occupancy), run totals and buffer
+/// stats are recorded into `telemetry`. Tracing only observes.
 ///
 /// Matches are byte-identical to [`crate::simulate`]; cycle counts include
 /// the buffering effects (they are ≥ the batch path's for the same
@@ -85,34 +92,10 @@ pub fn simulate_streaming(
     mapping: &Mapping,
     input: &[u8],
     machine: Machine,
-) -> (RunResult, BankStats) {
-    simulate_streaming_inner(compiled, mapping, input, machine, None)
-}
-
-/// Like [`simulate_streaming`], with cycle-sampled probe events (per-lane
-/// array samples plus bank window/FIFO occupancy) and run totals recorded
-/// into `telemetry` under `label`. Tracing only observes: the returned
-/// result and stats are identical to the untraced path's.
-pub fn simulate_streaming_traced(
-    compiled: &[Compiled],
-    mapping: &Mapping,
-    input: &[u8],
-    machine: Machine,
-    telemetry: &Telemetry,
-    label: &str,
-) -> (RunResult, BankStats) {
-    simulate_streaming_inner(compiled, mapping, input, machine, Some((telemetry, label)))
-}
-
-fn simulate_streaming_inner(
-    compiled: &[Compiled],
-    mapping: &Mapping,
-    input: &[u8],
-    machine: Machine,
     telemetry: Option<(&Telemetry, &str)>,
 ) -> (RunResult, BankStats) {
     crate::debug_assert_verified(compiled, mapping);
-    let arch = ArchConfig::default();
+    let arch = mapping.config.arch;
     let cost = CostModel::for_machine(machine);
     let mut meter = EnergyMeter::new();
     let mut lanes: Vec<ArrayLane<'_>> = mapping
@@ -120,6 +103,7 @@ fn simulate_streaming_inner(
         .iter()
         .map(|plan| ArrayLane {
             sim: build_array(compiled, plan, &cost),
+            automata: Automata::of(compiled, plan),
             input_fifo: Fifo::new(arch.array_input_entries as usize),
             output_fifo: Fifo::new(arch.array_output_entries as usize),
             fetch_pos: 0,
@@ -171,14 +155,7 @@ fn simulate_streaming_inner(
                     interrupts,
                 });
                 for (index, lane) in lanes.iter().enumerate() {
-                    let obs = lane.sim.observe();
-                    probe.push(ProbeEvent::Array {
-                        cycle: cycles - 1,
-                        array: index as u32,
-                        active_states: obs.active_states,
-                        powered_tiles: obs.powered_tiles,
-                        stalled: lane.sim.stalled(),
-                    });
+                    probe.push(lane.sim.sample(cycles - 1, index as u32));
                 }
             }
         }
@@ -194,13 +171,23 @@ fn simulate_streaming_inner(
             // Array cycle.
             let pending_before = lane.pending.len();
             if lane.sim.stalled() {
-                lane.sim
-                    .tick(None, lane.consumed, &mut meter, &mut lane.pending);
+                lane.sim.tick(
+                    &lane.automata,
+                    None,
+                    lane.consumed,
+                    &mut meter,
+                    &mut lane.pending,
+                );
                 lane.stalled_cycles += 1;
             } else if let Some(&(offset, byte)) = lane.input_fifo.front() {
                 lane.input_fifo.pop();
-                lane.sim
-                    .tick(Some(byte), offset, &mut meter, &mut lane.pending);
+                lane.sim.tick(
+                    &lane.automata,
+                    Some(byte),
+                    offset,
+                    &mut meter,
+                    &mut lane.pending,
+                );
                 lane.consumed = offset + 1;
             } else if lane.consumed < input.len() {
                 lane.starved_cycles += 1;
@@ -262,12 +249,11 @@ fn simulate_streaming_inner(
     collected.retain(|m| !compiled[m.pattern].anchored_end() || m.end == input.len());
 
     // Leakage, as in the batch path.
-    let runtime_s = cycles as f64 / cost.clock_hz;
     let powered: u64 = lanes.iter().map(|l| l.sim.powered_tile_cycles()).sum();
-    let mut leak_w = cost.bank_overhead_leak_w(mapping.arrays.len() as u32);
-    leak_w += cost.array_leak_w * mapping.arrays.len() as f64;
-    let tile_leak_j = cost.tile_leak_w * (powered as f64 / cost.clock_hz);
-    meter.charge(Category::Leakage, (leak_w * runtime_s + tile_leak_j) * 1e12);
+    meter.charge(
+        Category::Leakage,
+        cost.leakage_pj(mapping.arrays.len(), cycles, powered),
+    );
 
     let stats = BankStats {
         stall_cycles: lanes.iter().map(|l| l.stalled_cycles).collect(),
@@ -344,7 +330,7 @@ mod tests {
         let compiled = sim.compile(&res).expect("compiles");
         let mapping = sim.map(&compiled);
         let batch = sim.simulate(&compiled, &mapping, input);
-        let (streaming, stats) = simulate_streaming(&compiled, &mapping, input, machine);
+        let (streaming, stats) = simulate_streaming(&compiled, &mapping, input, machine, None);
         (batch, streaming, stats)
     }
 
@@ -420,7 +406,7 @@ mod tests {
         let sim = Simulator::new(Machine::Rap);
         let compiled = sim.compile(&[]).expect("compiles");
         let mapping = sim.map(&compiled);
-        let (r, stats) = simulate_streaming(&compiled, &mapping, b"abc", Machine::Rap);
+        let (r, stats) = simulate_streaming(&compiled, &mapping, b"abc", Machine::Rap, None);
         assert_eq!(r.metrics.cycles, 0);
         assert!(r.matches.is_empty());
         assert_eq!(stats.max_skew, 0);

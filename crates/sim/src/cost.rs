@@ -136,9 +136,16 @@ impl CostModel {
         um2 * 1e-6
     }
 
-    /// Bank-level leakage (I/O buffers) in watts for `arrays` arrays.
-    pub fn bank_overhead_leak_w(&self, arrays: u32) -> f64 {
-        f64::from(arrays.div_ceil(4)) * SRAM_128X128.leakage_w() / 4.0
+    /// Static leakage of a run, in pJ, over `cycles` of wall clock.
+    /// Power-gated tiles leak ~nothing, so tile leakage integrates over
+    /// *powered* tile-cycles; the array overheads (global switch,
+    /// controller) and the bank I/O buffers stay on for the whole run.
+    pub fn leakage_pj(&self, arrays: usize, cycles: u64, powered_tile_cycles: u64) -> f64 {
+        let runtime_s = cycles as f64 / self.clock_hz;
+        let mut leak_w = f64::from((arrays as u32).div_ceil(4)) * SRAM_128X128.leakage_w() / 4.0;
+        leak_w += self.array_leak_w * arrays as f64;
+        let tile_leak_j = self.tile_leak_w * (powered_tile_cycles as f64 / self.clock_hz);
+        (leak_w * runtime_s + tile_leak_j) * 1e12
     }
 }
 

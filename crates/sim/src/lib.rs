@@ -31,19 +31,20 @@ mod cost;
 pub mod reconfig;
 pub mod replicate;
 mod result;
+mod stream;
 
-pub use bank::{simulate_streaming, simulate_streaming_traced, BankStats};
+pub use bank::{simulate_streaming, BankStats};
 pub use cost::CostModel;
 pub use reconfig::{extract_arrays, pick_quiescence, simulate_hot_swap, Extraction, HotSwapRun};
 pub use replicate::{max_match_span, simulate_replicated, ReplicatedRun};
 pub use result::{MatchEvent, RunResult};
+pub use stream::StreamState;
 
-use rap_circuit::energy::Category;
-use rap_circuit::{EnergyMeter, Machine, Metrics};
+use rap_circuit::Machine;
 use rap_compiler::{CompileError, Compiled, Compiler, CompilerConfig, Mode};
 use rap_mapper::{map_workload, MapperConfig, Mapping};
 use rap_regex::Regex;
-use rap_telemetry::{ProbeEvent, Telemetry};
+use rap_telemetry::Telemetry;
 use std::fmt;
 use std::sync::Arc;
 
@@ -248,13 +249,9 @@ impl Simulator {
     /// passed the verify gate (see [`simulate`]). When telemetry is
     /// attached the run is traced under the machine's name as label.
     pub fn simulate(&self, compiled: &[Compiled], mapping: &Mapping, input: &[u8]) -> RunResult {
-        match &self.telemetry {
-            Some(tel) => {
-                let label = self.machine.to_string();
-                simulate_traced(compiled, mapping, input, self.machine, tel, &label)
-            }
-            None => simulate(compiled, mapping, input, self.machine),
-        }
+        let label = self.machine.to_string();
+        let trace = self.telemetry.as_deref().map(|tel| (tel, label.as_str()));
+        StreamState::new(compiled, mapping, self.machine, trace).run(compiled, mapping, input)
     }
 
     /// Streams `input` through the §3.3 bank buffer hierarchy (ping-pong
@@ -269,13 +266,9 @@ impl Simulator {
         mapping: &Mapping,
         input: &[u8],
     ) -> (RunResult, BankStats) {
-        match &self.telemetry {
-            Some(tel) => {
-                let label = self.machine.to_string();
-                bank::simulate_streaming_traced(compiled, mapping, input, self.machine, tel, &label)
-            }
-            None => bank::simulate_streaming(compiled, mapping, input, self.machine),
-        }
+        let label = self.machine.to_string();
+        let trace = self.telemetry.as_deref().map(|tel| (tel, label.as_str()));
+        bank::simulate_streaming(compiled, mapping, input, self.machine, trace)
     }
 
     /// Convenience: compile (native modes) + map + verify + simulate.
@@ -313,8 +306,9 @@ impl Simulator {
     }
 }
 
-/// Debug-build consistency check shared by the batch ([`simulate`]) and
-/// streaming ([`bank::simulate_streaming`]) entry points: both execute
+/// Debug-build consistency check shared by the resumable
+/// ([`StreamState::new`]) and bank-model ([`bank::simulate_streaming`])
+/// entry points: both execute
 /// only mappings that passed the static verify gate, and debug builds
 /// re-verify at the door. The checked `run`/`run_patterns`/`map_verified`
 /// entry points enforce the gate in release builds too.
@@ -331,36 +325,20 @@ pub(crate) fn debug_assert_verified(compiled: &[Compiled], mapping: &Mapping) {
     let _ = (compiled, mapping);
 }
 
-/// Simulates a mapped workload over an input stream on one machine.
+/// Simulates a mapped workload over an input stream on one machine: one
+/// [`StreamState::step`] over the whole input plus
+/// [`StreamState::finish`]. Tracing is the optional probe of
+/// [`StreamState::new`].
 ///
 /// The mapping must have passed the verify gate ([`Simulator::map_verified`]
 /// or [`rap_verify::verify`]); debug builds assert this at the door.
-///
-/// Arrays run in parallel on the same stream; an array in NBVA mode stalls
-/// independently during bit-vector-processing phases, and the two-level
-/// buffering of §3.3 decouples the arrays, so the bank finishes when its
-/// slowest array does.
 pub fn simulate(
     compiled: &[Compiled],
     mapping: &Mapping,
     input: &[u8],
     machine: Machine,
 ) -> RunResult {
-    simulate_inner(compiled, mapping, input, machine, None)
-}
-
-/// Like [`simulate`], with cycle-sampled probe events and run totals
-/// recorded into `telemetry` under `label`. Tracing only observes: the
-/// returned result is identical to the untraced path's.
-pub fn simulate_traced(
-    compiled: &[Compiled],
-    mapping: &Mapping,
-    input: &[u8],
-    machine: Machine,
-    telemetry: &Telemetry,
-    label: &str,
-) -> RunResult {
-    simulate_inner(compiled, mapping, input, machine, Some((telemetry, label)))
+    StreamState::new(compiled, mapping, machine, None).run(compiled, mapping, input)
 }
 
 /// Records one finished run's totals into the telemetry registry, labeled
@@ -385,9 +363,9 @@ pub(crate) fn record_run_metrics(telemetry: &Telemetry, result: &RunResult, powe
 /// Records one streaming run's buffer-hierarchy stats into the telemetry
 /// registry, labeled by machine: output interrupts and backpressure as
 /// counters, FIFO high-water marks as max-tracking gauges. This is the
-/// Prometheus-visible face of [`BankStats`] — the scan service reads it
-/// as its backpressure signal.
-pub fn record_bank_stats(telemetry: &Telemetry, machine: Machine, stats: &BankStats) {
+/// Prometheus-visible face of [`BankStats`] for traced
+/// [`simulate_streaming`] runs.
+pub(crate) fn record_bank_stats(telemetry: &Telemetry, machine: Machine, stats: &BankStats) {
     let machine = machine.to_string();
     let labels: [(&str, &str); 1] = [("machine", &machine)];
     let reg = telemetry.registry();
@@ -403,87 +381,11 @@ pub fn record_bank_stats(telemetry: &Telemetry, machine: Machine, stats: &BankSt
         .set_max(stats.max_skew as u64);
 }
 
-fn simulate_inner(
-    compiled: &[Compiled],
-    mapping: &Mapping,
-    input: &[u8],
-    machine: Machine,
-    telemetry: Option<(&Telemetry, &str)>,
-) -> RunResult {
-    debug_assert_verified(compiled, mapping);
-    let cost = CostModel::for_machine(machine);
-    let mut meter = EnergyMeter::new();
-    let mut matches: Vec<MatchEvent> = Vec::new();
-    let mut max_cycles: u64 = input.len() as u64;
-    let mut stall_cycles: u64 = 0;
-    let mut powered_tile_cycles: u64 = 0;
-    let mut probe = telemetry.map(|(tel, label)| tel.probe(label));
-
-    for (index, plan) in mapping.arrays.iter().enumerate() {
-        let mut sim = array::build_array(compiled, plan, &cost);
-        let outcome = array::run_array(
-            sim.as_mut(),
-            input,
-            &mut meter,
-            probe.as_mut().map(|p| (p, index as u32)),
-        );
-        stall_cycles += outcome.cycles.saturating_sub(input.len() as u64);
-        max_cycles = max_cycles.max(outcome.cycles);
-        powered_tile_cycles += outcome.powered_tile_cycles;
-        matches.extend(outcome.matches);
-    }
-
-    // Deduplicate (pattern, end) pairs: a pattern split into several LNFA
-    // chains may report the same end offset from more than one chain.
-    matches.sort_unstable_by_key(|m| (m.end, m.pattern));
-    matches.dedup();
-    // `$`-anchored patterns report only at the stream's end.
-    matches.retain(|m| !compiled[m.pattern].anchored_end() || m.end == input.len());
-
-    // Static leakage: power-gated tiles leak ~nothing, so tile leakage
-    // integrates over *powered* tile-cycles; the array overheads (global
-    // switch/controller) and bank I/O stay on for the whole run.
-    let runtime_s = max_cycles as f64 / cost.clock_hz;
-    let mut leak_w = cost.bank_overhead_leak_w(mapping.arrays.len() as u32);
-    leak_w += cost.array_leak_w * mapping.arrays.len() as f64;
-    let tile_leak_j = cost.tile_leak_w * (powered_tile_cycles as f64 / cost.clock_hz);
-    meter.charge(Category::Leakage, (leak_w * runtime_s + tile_leak_j) * 1e12);
-
-    let metrics = Metrics {
-        input_chars: input.len() as u64,
-        cycles: max_cycles,
-        clock_hz: cost.clock_hz,
-        energy_uj: meter.total_uj(),
-        area_mm2: cost.area_mm2(mapping),
-        matches: matches.len() as u64,
-    };
-    let result = RunResult {
-        machine,
-        metrics,
-        energy: meter,
-        matches,
-        stall_cycles,
-    };
-    if let Some(mut probe) = probe {
-        probe.push(ProbeEvent::RunEnd {
-            input_bytes: input.len() as u64,
-            cycles: max_cycles,
-            stall_cycles,
-            powered_tile_cycles,
-            matches: result.metrics.matches,
-        });
-        probe.finish();
-    }
-    if let Some((tel, _)) = telemetry {
-        record_run_metrics(tel, &result, powered_tile_cycles);
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rap_automata::nfa::Nfa;
+    use rap_circuit::energy::Category;
     use rap_regex::parse;
 
     fn regexes(patterns: &[&str]) -> Vec<Regex> {

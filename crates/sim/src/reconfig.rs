@@ -23,7 +23,7 @@ use rap_compiler::Compiled;
 use rap_mapper::{ArrayKind, ArrayPlan, Mapping};
 use rap_telemetry::{ProbeEvent, RunTrace, Telemetry};
 
-use crate::{simulate, simulate_traced, Machine, MatchEvent};
+use crate::{Machine, MatchEvent, StreamState};
 
 /// A sub-workload carved out of a larger mapped plan: the chosen arrays
 /// with their pattern indices compacted, plus the translation table back
@@ -139,29 +139,23 @@ pub fn simulate_hot_swap(
     telemetry: Option<(&Telemetry, &str)>,
 ) -> HotSwapRun {
     assert!(swap_at <= input.len(), "swap offset beyond the stream");
-    let run_segment = |ex: &Extraction, segment: &[u8], suffix: &str| {
+    // One segment: `ex`'s arrays over `bytes`, traced under `suffix`,
+    // returning its matches in the donor namespace and its cycles.
+    let segment = |ex: &Extraction, bytes: &[u8], suffix: &str| {
         if ex.mapping.arrays.is_empty() {
-            return Vec::new();
+            return (Vec::new(), 0);
         }
-        let result = match telemetry {
-            Some((tel, label)) => simulate_traced(
-                &ex.images,
-                &ex.mapping,
-                segment,
-                machine,
-                tel,
-                &format!("{label}{suffix}"),
-            ),
-            None => simulate(&ex.images, &ex.mapping, segment, machine),
-        };
-        result
-            .matches
-            .iter()
-            .map(|m| MatchEvent {
-                pattern: ex.patterns[m.pattern],
-                end: m.end,
-            })
-            .collect::<Vec<MatchEvent>>()
+        let label = telemetry.map(|(_, label)| format!("{label}{suffix}"));
+        let trace = telemetry
+            .zip(label.as_deref())
+            .map(|((tel, _), l)| (tel, l));
+        let state = StreamState::new(&ex.images, &ex.mapping, machine, trace);
+        let run = state.run(&ex.images, &ex.mapping, bytes);
+        let matches = run.matches.iter().map(|m| MatchEvent {
+            pattern: ex.patterns[m.pattern],
+            end: m.end,
+        });
+        (matches.collect::<Vec<MatchEvent>>(), run.metrics.cycles)
     };
 
     let stable: Vec<usize> = (0..pre_mapping.arrays.len())
@@ -171,36 +165,19 @@ pub fn simulate_hot_swap(
     let retired_ex = extract_arrays(pre_images, pre_mapping, retired);
     let fresh_ex = extract_arrays(post_images, post_mapping, fresh);
 
-    let mut pre_matches = run_segment(&stable_ex, input, "-stable");
+    let (mut pre_matches, _) = segment(&stable_ex, input, "-stable");
     let stable_cycles = input.len() as u64;
 
     // Drain segment: the retired arrays see the stream end at the swap
     // offset ($-anchored outgoing patterns report there — the drained
     // tenant's stream truly ends at the swap).
-    let mut drain_cycles = 0u64;
-    if !retired_ex.mapping.arrays.is_empty() {
-        let prefix = &input[..swap_at];
-        let result = match telemetry {
-            Some((tel, label)) => simulate_traced(
-                &retired_ex.images,
-                &retired_ex.mapping,
-                prefix,
-                machine,
-                tel,
-                &format!("{label}-drain"),
-            ),
-            None => simulate(&retired_ex.images, &retired_ex.mapping, prefix, machine),
-        };
-        drain_cycles = result.metrics.cycles.saturating_sub(swap_at as u64);
-        pre_matches.extend(result.matches.iter().map(|m| MatchEvent {
-            pattern: retired_ex.patterns[m.pattern],
-            end: m.end,
-        }));
-    }
+    let (drained, cycles) = segment(&retired_ex, &input[..swap_at], "-drain");
+    let drain_cycles = cycles.saturating_sub(swap_at as u64);
+    pre_matches.extend(drained);
     pre_matches.sort_unstable_by_key(|m| (m.end, m.pattern));
 
     // Fresh segment: globalize the suffix-relative end offsets.
-    let mut fresh_matches = run_segment(&fresh_ex, &input[swap_at..], "-fresh");
+    let (mut fresh_matches, _) = segment(&fresh_ex, &input[swap_at..], "-fresh");
     for m in &mut fresh_matches {
         m.end += swap_at;
     }
@@ -242,7 +219,7 @@ pub fn pick_quiescence(traces: &[RunTrace], label: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulator;
+    use crate::{simulate, Simulator};
 
     fn plan(sources: &[&str]) -> (Vec<Compiled>, Mapping) {
         let sim = Simulator::new(Machine::Rap);
