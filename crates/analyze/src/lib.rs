@@ -45,13 +45,12 @@ use rap_compiler::{CompileError, Compiled, Mode};
 use rap_diag::{Location, RuleCode};
 use rap_regex::Pattern;
 use rap_telemetry::{Histogram, Registry};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 pub use rap_diag::Severity;
 
 /// The analyzer's rule family (`A001`…). Codes are stable and append-only.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// A001: no path from an initial state ever activates the state.
     UnreachableState,
@@ -178,7 +177,7 @@ impl AnalyzeOptions {
 }
 
 /// Aggregate counters over one analyzed workload.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalyzeStats {
     /// Images analyzed.
     pub images: u64,

@@ -5,11 +5,10 @@
 //! array has small input/output FIFOs that decouple it from the bank when
 //! NBVA stalls desynchronize the arrays.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A bounded FIFO.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fifo<T> {
     capacity: usize,
     items: VecDeque<T>,
@@ -73,7 +72,7 @@ impl<T> Fifo<T> {
 /// A ping-pong (double) buffer: the *fill* page accepts writes while the
 /// *drain* page serves reads; [`PingPong::swap`] exchanges them when the
 /// drain page empties (hiding DMA latency, §3.3).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PingPong<T> {
     page_capacity: usize,
     fill: VecDeque<T>,

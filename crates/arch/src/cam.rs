@@ -11,10 +11,9 @@
 use crate::config::ArchConfig;
 use crate::encoding::CcCode;
 use rap_automata::bitvec::BitVec;
-use serde::{Deserialize, Serialize};
 
 /// Content of one CAM column.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Column {
     /// Not allocated.
     Unused,
@@ -25,7 +24,7 @@ pub enum Column {
 }
 
 /// A tile's CAM: `rows × columns` 8T cells.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cam {
     rows: u32,
     columns: Vec<Column>,

@@ -1,7 +1,5 @@
 //! Architectural parameters of the RAP hierarchy (§3.3).
 
-use serde::{Deserialize, Serialize};
-
 /// An out-of-range BV depth passed to [`ArchConfig::try_bv_columns`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BvDepthError {
@@ -23,7 +21,7 @@ impl std::error::Error for BvDepthError {}
 /// paper's configuration; the design-space-exploration benches vary the
 /// user-controlled knobs (BV depth and bin size live in the compiler/mapper,
 /// not here, because they are per-workload).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ArchConfig {
     /// CAM rows per tile (32).
     pub cam_rows: u32,

@@ -17,10 +17,9 @@
 //! column and its low 7 bits one-hot-activate a row.
 
 use rap_regex::CharClass;
-use serde::{Deserialize, Serialize};
 
 /// One product term: the set `highs × lows` of nibble sets.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ProductTerm {
     /// Bit i set ⇔ high nibble i is in the set.
     pub hi_mask: u16,
@@ -44,7 +43,7 @@ impl ProductTerm {
 }
 
 /// A 32-bit CAM column code: up to two product terms.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct CcCode {
     /// The two product terms (either may be empty).
     pub terms: [ProductTerm; 2],

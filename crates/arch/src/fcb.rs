@@ -8,10 +8,9 @@
 //! programs an off-diagonal, `set1` routes an initial-vector column.
 
 use rap_automata::bitvec::BitVec;
-use serde::{Deserialize, Serialize};
 
 /// An `outputs × inputs` crossbar of programmable crosspoints.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Crossbar {
     inputs: usize,
     /// One row per output, each a bitmap over inputs.

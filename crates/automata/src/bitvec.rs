@@ -6,11 +6,10 @@
 //! `v[1], …, v[n]` indexing) corresponds to [`BitVec::shift_up`] here: bit i
 //! moves to bit i+1 and the top bit falls off.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fixed-width vector of bits backed by `u64` words.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitVec {
     len: usize,
     words: Vec<u64>,

@@ -11,18 +11,17 @@
 use crate::bitvec::BitVec;
 use rap_regex::rewrite::to_sequences;
 use rap_regex::{CharClass, Regex};
-use serde::{Deserialize, Serialize};
 
 /// A linear NFA: a chain of character classes with one initial and one
 /// final state.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Lnfa {
     classes: Vec<CharClass>,
 }
 
 /// The result of rewriting a regex for LNFA execution: a finite union of
 /// chains, plus whether the original language contained ε (an empty chain).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LnfaSet {
     /// The chains; matching the original regex means matching any of them.
     pub lnfas: Vec<Lnfa>,

@@ -25,10 +25,9 @@ use crate::glushkov::{self, PosKind};
 use crate::StateId;
 use rap_regex::rewrite::{split_bounded, unfold_below_threshold};
 use rap_regex::{CharClass, Regex};
-use serde::{Deserialize, Serialize};
 
 /// How successors (and the finalization function) observe a BV state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ReadAction {
     /// `r(m)`: the read succeeds when exactly m repetitions have been
     /// consumed by some thread (bit m, 1-indexed as in the paper).
@@ -39,7 +38,7 @@ pub enum ReadAction {
 }
 
 /// The bit-vector role of a state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StateKind {
     /// Ordinary control state (activation is a single bit).
     Plain,
@@ -53,7 +52,7 @@ pub enum StateKind {
 }
 
 /// One NBVA state.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NbvaState {
     /// Character class labeling every transition into this state.
     pub cc: CharClass,
@@ -76,7 +75,7 @@ impl NbvaState {
 }
 
 /// A nondeterministic bit vector automaton.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Nbva {
     states: Vec<NbvaState>,
     initial: Vec<StateId>,

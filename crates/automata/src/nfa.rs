@@ -9,10 +9,9 @@ use crate::glushkov::{self, PosKind};
 use crate::StateId;
 use rap_regex::rewrite::unfold_all;
 use rap_regex::{CharClass, Regex};
-use serde::{Deserialize, Serialize};
 
 /// One NFA state: its character class and successors.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NfaState {
     /// Character class labeling every transition *into* this state
     /// (homogeneity).
@@ -24,7 +23,7 @@ pub struct NfaState {
 }
 
 /// A homogeneous nondeterministic finite automaton.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Nfa {
     states: Vec<NfaState>,
     initial: Vec<StateId>,

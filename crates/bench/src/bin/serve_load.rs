@@ -11,14 +11,14 @@
 //! * **overload** — a deliberately tiny certified budget (one shard,
 //!   one queue page) driven with oversized chunks, to show chunks shed
 //!   under backpressure with the R002-before-R003 finding ordering.
-//! * **warm** — tenant registration against a persistent artifact
-//!   store primed by an earlier server: the warm pass must perform
-//!   zero compile-stage work.
+//! * **warm** — tenants finish and re-register on the same server: the
+//!   warm pass must be answered from the pipeline's plan cache with
+//!   zero compile-stage work and deliver the cold pass's matches.
 //!
 //! Exits non-zero when any tenant's stream diverges from its solo run,
 //! when a shed is recorded without a backpressure finding, when the
 //! session counters move non-monotonically, or when the warm pass
-//! compiles anything.
+//! compiles anything or delivers different matches.
 //!
 //! Scale knobs: `RAP_SERVE_TENANTS` (default 64), `RAP_SERVE_SHARDS`
 //! (default 4), `RAP_SERVE_STREAM` bytes per tenant stream (default
@@ -28,7 +28,7 @@
 use std::time::Instant;
 
 use rap_bench::tables::{f2, Table};
-use rap_pipeline::{BenchConfig, PatternSet, Pipeline, StoreConfig};
+use rap_pipeline::{BenchConfig, PatternSet, Pipeline};
 use rap_serve::{SendOutcome, ServeConfig, Server, Session};
 use rap_sim::{MatchEvent, Simulator};
 
@@ -331,66 +331,62 @@ fn main() {
         );
     }
 
-    // ---- Phase 3: warm registration from the persistent store.
+    // ---- Phase 3: warm re-registration through the plan cache.
     {
-        let dir = std::env::temp_dir().join(format!("rap-serve-load-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let loads = tenant_loads(8, 512);
-        {
-            let pipeline = Pipeline::new(spec())
-                .with_store(StoreConfig::at(&dir))
-                .expect("store opens");
-            let cold = Server::new(pipeline, ServeConfig::default());
-            for load in &loads {
-                cold.register(&load.name, &load.patterns)
-                    .expect("admits")
-                    .finish();
-            }
-            assert!(cold.pipeline().report().patterns_compiled > 0);
-        }
-        let pipeline = Pipeline::new(spec())
-            .with_store(StoreConfig::at(&dir))
-            .expect("store opens");
-        let warm = Server::new(pipeline, ServeConfig::default());
+        let server = Server::new(Pipeline::new(spec()), ServeConfig::default());
+        let run_pass = |latencies: &mut Vec<f64>| -> Vec<Vec<MatchEvent>> {
+            loads
+                .iter()
+                .map(|load| {
+                    let session = server.register(&load.name, &load.patterns).expect("admits");
+                    latencies.extend(stream(&session, &load.input, chunk));
+                    session.finish();
+                    session.drain()
+                })
+                .collect()
+        };
+        let cold = run_pass(&mut Vec::new());
+        let compiled = server.pipeline().report().patterns_compiled;
+        assert!(compiled > 0);
+        let m = server.metrics();
+        let before = [
+            m.chunks_scanned.get(),
+            m.chunks_shed.get(),
+            m.backpressure_events.get(),
+            m.bytes_scanned.get(),
+        ];
+
         let t0 = Instant::now();
         let mut latencies: Vec<f64> = Vec::new();
-        let mut matches = 0u64;
-        for load in &loads {
-            let session = warm.register(&load.name, &load.patterns).expect("admits");
-            latencies.extend(stream(&session, &load.input, chunk));
-            session.finish();
-            matches += session.drain().len() as u64;
-        }
+        let warm = run_pass(&mut latencies);
         let wall = t0.elapsed().as_secs_f64();
-        let report = warm.pipeline().report();
-        if report.patterns_compiled != 0 {
-            eprintln!(
-                "serve load failed: warm registration compiled {} pattern(s)",
-                report.patterns_compiled
-            );
+        let recompiled = server.pipeline().report().patterns_compiled - compiled;
+        if recompiled != 0 {
+            eprintln!("serve load failed: warm registration compiled {recompiled} pattern(s)");
             failures += 1;
         }
-        let m = warm.metrics();
+        if warm != cold {
+            eprintln!("serve load failed: warm pass delivered different matches");
+            failures += 1;
+        }
+        let matches: usize = warm.iter().map(Vec::len).sum();
         latencies.sort_by(f64::total_cmp);
         table.row([
             "warm".to_string(),
             "8".to_string(),
-            warm.config().shards.to_string(),
-            warm.config().queue_pages.to_string(),
-            m.chunks_scanned.get().to_string(),
-            m.chunks_shed.get().to_string(),
-            m.backpressure_events.get().to_string(),
-            m.bytes_scanned.get().to_string(),
+            server.config().shards.to_string(),
+            server.config().queue_pages.to_string(),
+            (m.chunks_scanned.get() - before[0]).to_string(),
+            (m.chunks_shed.get() - before[1]).to_string(),
+            (m.backpressure_events.get() - before[2]).to_string(),
+            (m.bytes_scanned.get() - before[3]).to_string(),
             matches.to_string(),
             f2(percentile(&latencies, 0.50)),
             f2(percentile(&latencies, 0.99)),
             f2(8.0 / wall),
         ]);
-        println!(
-            "warm: {} pattern(s) compiled on re-registration\n",
-            report.patterns_compiled
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        println!("warm: {recompiled} pattern(s) compiled on re-registration\n");
     }
 
     println!("{}", table.render());

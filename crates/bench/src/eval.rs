@@ -15,7 +15,6 @@ use rap_pipeline::{PatternSet, Pipeline};
 use rap_regex::Regex;
 use rap_sim::Simulator;
 use rap_workloads::Suite;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 pub use rap_pipeline::{BenchConfig, EvalError, RunSummary, SuiteCorpus};
@@ -113,7 +112,7 @@ impl ModeSplit {
 /// RAP evaluated per mode (the §5.5 system integration): each mode's
 /// patterns run on their own arrays; NBVA arrays below 2 Gch/s are
 /// replicated to share the workload (< 3% area overhead in the paper).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RapSystem {
     /// Per-mode summaries (NFA, NBVA, LNFA).
     pub nfa: RunSummary,

@@ -30,7 +30,7 @@ pub use eval::{
     eval_machine, eval_rap_by_mode, suite_input, suite_regexes, BenchConfig, EvalError, ModeSplit,
     RunSummary,
 };
-pub use rap_pipeline::{Pipeline, PipelineReport, StoreConfig};
+pub use rap_pipeline::{Pipeline, PipelineReport};
 pub use rap_telemetry::Telemetry;
 
 use std::sync::Arc;
@@ -64,44 +64,15 @@ pub fn telemetry_from_env() -> Option<Arc<Telemetry>> {
     Telemetry::from_env()
 }
 
-/// The environment-gated persistent artifact store: `RAP_STORE_DIR`
-/// names the directory (with `RAP_STORE_MAX_BYTES` optionally bounding
-/// it for LRU eviction), or `None` when unset — harness runs stay
-/// self-contained unless the caller opts in.
-pub fn store_from_env() -> Option<StoreConfig> {
-    let dir = std::env::var_os("RAP_STORE_DIR").filter(|v| !v.is_empty())?;
-    let mut config = StoreConfig::at(std::path::PathBuf::from(dir));
-    if let Some(max) = std::env::var("RAP_STORE_MAX_BYTES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        config = config.with_max_bytes(max);
-    }
-    Some(config)
-}
-
 /// A pipeline at the [`config_from_env`] scale with telemetry attached
-/// when `RAP_TRACE` enables it and the persistent artifact store
-/// attached when `RAP_STORE_DIR` names one — the constructor every
-/// `src/bin/*` harness binary uses. With a store, a warm re-run of the
-/// full evaluation loads every plan from disk and compiles nothing.
-///
-/// # Panics
-///
-/// Panics when `RAP_STORE_DIR` is set but the directory cannot be
-/// created (the harness treats setup I/O errors as fatal).
+/// when `RAP_TRACE` enables it — the constructor every `src/bin/*`
+/// harness binary uses.
 pub fn pipeline_from_env() -> Pipeline {
-    let mut pipe = Pipeline::new(config_from_env());
-    if let Some(telemetry) = telemetry_from_env() {
-        pipe = pipe.with_telemetry(telemetry);
+    let pipe = Pipeline::new(config_from_env());
+    match telemetry_from_env() {
+        Some(telemetry) => pipe.with_telemetry(telemetry),
+        None => pipe,
     }
-    if let Some(config) = store_from_env() {
-        let dir = config.dir.clone();
-        pipe = pipe
-            .with_store(config)
-            .unwrap_or_else(|e| panic!("open artifact store at {}: {e}", dir.display()));
-    }
-    pipe
 }
 
 /// Writes the experiment's trace artifacts under `results/`:

@@ -5,12 +5,11 @@
 //! keeps per-category subtotals so the evaluation can report breakdowns
 //! like Fig. 11 of the paper.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Energy categories used by the simulators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Category {
     /// CAM searches during state matching.
     StateMatch,
@@ -63,7 +62,7 @@ impl fmt::Display for Category {
 }
 
 /// Accumulates picojoule charges by category.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EnergyMeter {
     by_category: BTreeMap<Category, f64>,
 }

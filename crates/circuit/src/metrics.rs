@@ -1,10 +1,8 @@
 //! System-level metrics (§5.2): throughput, power, energy efficiency
 //! (throughput per watt) and compute density (throughput per unit area).
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate results of one simulated run of a machine on a workload.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Metrics {
     /// Input symbols consumed.
     pub input_chars: u64,

@@ -1,18 +1,12 @@
 //! The Table 1 component models and per-machine clock parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Nominal supply voltage used to convert leakage current to leakage power
 /// (typical for TSMC 28nm HPC logic).
 pub const VDD_V: f64 = 0.9;
 
 /// A circuit component model: access energy (as a min–max range scaled by
 /// activity), critical-path delay, layout area, and leakage current.
-///
-/// `Deserialize` is deliberately absent: the `&'static str` name only
-/// exists as a compile-time table entry, so models are serialized (for
-/// reports) but never read back from bytes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ComponentModel {
     /// Human-readable name (matches Table 1).
     pub name: &'static str,
@@ -117,7 +111,7 @@ pub const GLOBAL_WIRE_MM: ComponentModel = ComponentModel {
 };
 
 /// The automata-processor machines evaluated in the paper (§5).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Machine {
     /// RAP — this paper's reconfigurable processor.
     Rap,

@@ -1,7 +1,7 @@
 //! `rap admit` — static multi-tenant admission over benchmark suites,
 //! through the pipeline's Admit stage.
 
-use super::{attach_store, outln, parse_suite};
+use super::{outln, parse_suite};
 use crate::args::Args;
 use crate::CliError;
 use rap_admit::AdmitOptions;
@@ -40,8 +40,6 @@ FLAGS:
                     product construction
     --budget N      overlap: joint configurations explored per image pair
                     before the probe returns inconclusively (default 4096)
-    --store-dir D   persistent artifact store directory: solo and composed
-                    plans are recalled from earlier runs
     --json          emit the admission analysis as JSON on stdout";
 
 /// Runs the subcommand.
@@ -80,7 +78,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ..AdmitOptions::default()
     };
 
-    let pipe = attach_store(Pipeline::new(spec), &args)?;
+    let pipe = Pipeline::new(spec);
     let corpora: Vec<_> = suites.iter().map(|&s| pipe.corpus(s)).collect();
     let sims: Vec<Simulator> = suites
         .iter()
@@ -254,25 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn store_dir_persists_solo_and_composed_plans() {
-        let dir = std::env::temp_dir().join(format!(
-            "rap-cli-admit-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let d = dir.to_str().expect("utf8");
-        run_ok(&["snort", "yara", "--patterns", "4", "--store-dir", d]);
-        let store = rap_pipeline::DiskStore::open(rap_pipeline::StoreConfig::at(&dir))
-            .expect("store opens");
-        assert_eq!(store.len(), 3, "two solo plans plus the composed plan");
-        drop(store);
-        let s = run_ok(&["yara", "snort", "--patterns", "4", "--store-dir", d]);
-        assert!(s.contains("verdict : admitted"), "{s}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn unknown_suite_is_usage_error() {
         let (_, err) = run_err(&["nosuch"]);
         assert!(matches!(err, CliError::Usage(_)));
@@ -289,6 +268,5 @@ mod tests {
         let s = run_ok(&["--help"]);
         assert!(s.contains("--banks"), "{s}");
         assert!(s.contains("--overlap"), "{s}");
-        assert!(s.contains("--store-dir"), "{s}");
     }
 }

@@ -1,7 +1,7 @@
 //! `rap bound` — static worst-case capacity/cost bounds for one suite's
 //! mapped plan, through the pipeline's Bound stage.
 
-use super::{attach_store, outln, parse_suite};
+use super::{outln, parse_suite};
 use crate::args::Args;
 use crate::CliError;
 use rap_analyze::SoundnessConfig;
@@ -33,8 +33,6 @@ FLAGS:
                     NFA by exact product construction (B008 on divergence)
     --budget N      equivalence: joint configurations explored before the
                     check returns inconclusively (default 8192)
-    --store-dir D   persistent artifact store directory: recall the plan
-                    from an earlier run instead of recompiling
     --json          emit bounds and findings as JSON on stdout";
 
 /// Runs the subcommand.
@@ -59,7 +57,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         });
     }
 
-    let pipe = attach_store(Pipeline::new(spec).with_bounds(options), &args)?;
+    let pipe = Pipeline::new(spec).with_bounds(options);
     let corpus = pipe.corpus(suite);
     let sim = pipe.simulator_for(machine, suite);
     let plan = pipe
@@ -195,26 +193,6 @@ mod tests {
             "500",
         ]);
         assert!(!s.contains("B008"), "{s}");
-    }
-
-    #[test]
-    fn store_dir_persists_the_plan_across_invocations() {
-        let dir = std::env::temp_dir().join(format!(
-            "rap-cli-bound-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let d = dir.to_str().expect("utf8");
-        run_ok(&["snort", "--patterns", "4", "--store-dir", d]);
-        let store = rap_pipeline::DiskStore::open(rap_pipeline::StoreConfig::at(&dir))
-            .expect("store opens");
-        assert_eq!(store.len(), 1, "first run wrote the plan");
-        drop(store);
-        // Second invocation (fresh pipeline) loads rather than rebuilds.
-        let s = run_ok(&["snort", "--patterns", "4", "--store-dir", d]);
-        assert!(s.contains("bound: RAP on Snort"), "{s}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

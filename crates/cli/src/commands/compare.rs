@@ -1,12 +1,12 @@
 //! `rap compare` — run all four machines plus the software engines on one
 //! workload and print a comparison table.
 
-use super::{attach_store, outln, parse_all};
+use super::{outln, parse_all};
 use crate::args::Args;
 use crate::{read_patterns, CliError};
 use rap_circuit::Machine;
 use rap_engines::{measure_throughput_gchps, Engine, ShiftAndEngine};
-use rap_pipeline::{BenchConfig, PatternSet, Pipeline};
+use rap_pipeline::{build_plan, PatternSet};
 use rap_sim::Simulator;
 use std::io::Write;
 
@@ -16,13 +16,10 @@ on the same workload
 
 USAGE:
     rap compare <patterns.txt> <input-file> [--depth N] [--bin N]
-                [--store-dir D]
 
 FLAGS:
     --depth N       BV depth for NBVA mode   (default 8)
-    --bin N         max LNFAs per bin        (default 8)
-    --store-dir D   persistent artifact store directory: recall all four
-                    machines' verified plans from an earlier run";
+    --bin N         max LNFAs per bin        (default 8)";
 
 /// Runs the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -40,15 +37,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let regexes = pats.regexes();
     let depth = args.flag_num("depth", 8)?;
     let bin = args.flag_num("bin", 8)?;
-    let pipe = attach_store(
-        Pipeline::new(BenchConfig {
-            patterns_per_suite: pats.len(),
-            input_len: input.len(),
-            match_rate: 0.0,
-            seed: 0,
-        }),
-        &args,
-    )?;
 
     outln!(
         out,
@@ -66,9 +54,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         let sim = Simulator::new(machine)
             .with_bv_depth(depth)
             .with_bin_size(bin);
-        let plan = pipe
-            .plan(&sim, &pats, None)
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
+        let plan = build_plan(&sim, &pats, None).map_err(|e| CliError::Runtime(e.to_string()))?;
         let r = plan.simulate(&input);
         outln!(
             out,
@@ -133,48 +119,5 @@ mod tests {
         for name in ["RAP", "CAMA", "BVAP", "CA", "sw-cpu"] {
             assert!(s.contains(name), "{s}");
         }
-    }
-
-    #[test]
-    fn store_dir_persists_every_machine_plan() {
-        let dir = std::env::temp_dir().join(format!(
-            "rap-cli-compare-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let d = dir.to_str().expect("utf8").to_string();
-        let work = std::env::temp_dir().join("rap-cli-compare-sd");
-        std::fs::create_dir_all(&work).expect("mkdir");
-        let p = work.join("p.txt");
-        std::fs::write(&p, "abc\nq{8,30}r\n").expect("write");
-        let i = work.join("i.bin");
-        std::fs::write(&i, b"abc qqqqqqqqqqr abc").expect("write");
-        let argv: Vec<String> = vec![
-            p.to_str().expect("utf8").to_string(),
-            i.to_str().expect("utf8").to_string(),
-            "--store-dir".to_string(),
-            d,
-        ];
-        let mut out = Vec::new();
-        run(&argv, &mut out).expect("compare succeeds");
-        let store = rap_pipeline::DiskStore::open(rap_pipeline::StoreConfig::at(&dir))
-            .expect("store opens");
-        assert_eq!(store.len(), 4, "one plan per machine");
-        drop(store);
-        let mut out2 = Vec::new();
-        run(&argv, &mut out2).expect("warm compare succeeds");
-        // The modeled table is deterministic; only the host-measured
-        // sw-cpu row may differ between runs.
-        let modeled = |o: &[u8]| {
-            String::from_utf8(o.to_vec())
-                .expect("utf8")
-                .lines()
-                .filter(|l| !l.contains("sw-cpu"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(modeled(&out), modeled(&out2));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,11 +1,11 @@
 //! `rap compile` — compile a pattern file and report modes and sizing.
 
-use super::{attach_store, outln, parse_all};
+use super::{outln, parse_all};
 use crate::args::Args;
 use crate::{read_patterns, CliError};
 use rap_circuit::Machine;
 use rap_compiler::Mode;
-use rap_pipeline::{BenchConfig, PatternSet, Pipeline};
+use rap_pipeline::{build_plan, PatternSet};
 use rap_sim::Simulator;
 use std::io::Write;
 
@@ -18,9 +18,7 @@ USAGE:
 FLAGS:
     --depth N       BV depth for NBVA mode (4/8/16/32, default 8)
     --bin N         max LNFAs per bin (default 8)
-    --threshold N   bounded-repetition unfolding threshold (default 4)
-    --store-dir D   persistent artifact store directory: recall the verified
-                    plan from an earlier run instead of recompiling";
+    --threshold N   bounded-repetition unfolding threshold (default 4)";
 
 /// Runs the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -38,20 +36,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .with_bin_size(args.flag_num("bin", 8)?);
     sim.compiler.unfold_threshold = args.flag_num("threshold", 4)?;
     let pats = PatternSet::from_parsed(patterns.clone(), parsed);
-    // Build through the pipeline's cached plan path so --store-dir can
-    // recall the verified plan across invocations.
-    let pipe = attach_store(
-        Pipeline::new(BenchConfig {
-            patterns_per_suite: pats.len(),
-            input_len: 0,
-            match_rate: 0.0,
-            seed: 0,
-        }),
-        &args,
-    )?;
-    let plan = pipe
-        .plan(&sim, &pats, None)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let plan = build_plan(&sim, &pats, None).map_err(|e| CliError::Runtime(e.to_string()))?;
     let compiled = plan.compiled();
 
     outln!(
@@ -138,27 +123,6 @@ mod tests {
         let deep = run_ok(&[&path, "--depth", "32"]);
         // Same automaton, fewer BV columns at depth 32.
         assert_ne!(shallow, deep);
-    }
-
-    #[test]
-    fn store_dir_persists_the_plan() {
-        let dir = std::env::temp_dir().join(format!(
-            "rap-cli-compile-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let d = dir.to_str().expect("utf8");
-        let path = write_patterns("stored.txt", "abcdef\nx{40}y\n");
-        let first = run_ok(&[&path, "--store-dir", d]);
-        let store = rap_pipeline::DiskStore::open(rap_pipeline::StoreConfig::at(&dir))
-            .expect("store opens");
-        assert_eq!(store.len(), 1, "first run wrote the plan");
-        drop(store);
-        // Second invocation recalls the plan; the report is identical.
-        let second = run_ok(&[&path, "--store-dir", d]);
-        assert_eq!(first, second);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 pub mod admit;
 pub mod analyze;
 pub mod bound;
-pub mod cache;
 pub mod compare;
 pub mod compile;
 pub mod dot;
@@ -43,21 +42,6 @@ pub(crate) fn parse_all(patterns: &[String]) -> Result<Vec<Pattern>, CliError> {
                 .map_err(|e| CliError::Runtime(format!("pattern #{i} {p:?}: {e}")))
         })
         .collect()
-}
-
-/// Attaches the persistent artifact store named by `--store-dir` (when
-/// given) to a pipeline, so repeated CLI invocations over the same
-/// directory recall plans instead of recompiling.
-pub(crate) fn attach_store(
-    pipe: rap_pipeline::Pipeline,
-    args: &crate::args::Args,
-) -> Result<rap_pipeline::Pipeline, CliError> {
-    match args.flag("store-dir") {
-        None => Ok(pipe),
-        Some(dir) => pipe
-            .with_store(rap_pipeline::StoreConfig::at(dir))
-            .map_err(|e| CliError::Runtime(format!("open artifact store at {dir}: {e}"))),
-    }
 }
 
 /// Writes a line, converting I/O failure into a runtime error.

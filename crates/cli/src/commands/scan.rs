@@ -1,9 +1,9 @@
 //! `rap scan` — scan an input file on a simulated machine.
 
-use super::{attach_store, outln, parse_all};
+use super::{outln, parse_all};
 use crate::args::Args;
 use crate::{read_patterns, CliError};
-use rap_pipeline::{BenchConfig, PatternSet, Pipeline};
+use rap_pipeline::{build_plan, PatternSet};
 use rap_sim::Simulator;
 use std::io::Write;
 
@@ -17,9 +17,7 @@ FLAGS:
     --machine M     rap | cama | bvap | ca   (default rap)
     --depth N       BV depth for NBVA mode   (default 8)
     --bin N         max LNFAs per bin        (default 8)
-    --limit N       print at most N matches  (default 20)
-    --store-dir D   persistent artifact store directory: recall the verified
-                    plan from an earlier run instead of recompiling";
+    --limit N       print at most N matches  (default 20)";
 
 /// Runs the subcommand.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -38,21 +36,8 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .with_bv_depth(args.flag_num("depth", 8)?)
         .with_bin_size(args.flag_num("bin", 8)?);
     // Typed chain: only a verified (hardware-legal) plan can be simulated.
-    // Built through the pipeline's cached plan path so --store-dir can
-    // recall the plan across invocations.
     let pats = PatternSet::from_parsed(patterns.clone(), parsed);
-    let pipe = attach_store(
-        Pipeline::new(BenchConfig {
-            patterns_per_suite: pats.len(),
-            input_len: input.len(),
-            match_rate: 0.0,
-            seed: 0,
-        }),
-        &args,
-    )?;
-    let plan = pipe
-        .plan(&sim, &pats, None)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let plan = build_plan(&sim, &pats, None).map_err(|e| CliError::Runtime(e.to_string()))?;
     let result = plan.simulate(&input);
 
     let limit: usize = args.flag_num("limit", 20)?;
@@ -152,26 +137,6 @@ mod tests {
         let (p, i) = setup();
         let s = run_ok(&[&p, &i, "--limit", "1"]);
         assert!(s.contains("and 2 more"), "{s}");
-    }
-
-    #[test]
-    fn store_dir_recalls_the_plan_with_identical_matches() {
-        let dir = std::env::temp_dir().join(format!(
-            "rap-cli-scan-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let d = dir.to_str().expect("utf8");
-        let (p, i) = setup();
-        let first = run_ok(&[&p, &i, "--store-dir", d]);
-        let store = rap_pipeline::DiskStore::open(rap_pipeline::StoreConfig::at(&dir))
-            .expect("store opens");
-        assert_eq!(store.len(), 1, "first run wrote the plan");
-        drop(store);
-        let second = run_ok(&[&p, &i, "--store-dir", d]);
-        assert_eq!(first, second);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

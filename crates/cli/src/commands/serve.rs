@@ -1,6 +1,6 @@
 //! `rap serve` — run the multi-tenant streaming scan service.
 
-use super::{attach_store, outln, parse_suite};
+use super::{outln, parse_suite};
 use crate::args::Args;
 use crate::CliError;
 use rap_pipeline::{BenchConfig, Pipeline};
@@ -43,8 +43,6 @@ FLAGS:
                       running suite tenants in-process
     --for-secs N      with --listen: serve for N seconds, then drain
                       (default 0 = until killed)
-    --store-dir D     persistent artifact store: known pattern sets
-                      register with zero compile-stage work
     --json            emit per-tenant results as JSON on stdout";
 
 /// Runs the subcommand.
@@ -66,7 +64,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         queue_pages: args.flag_num("queue-pages", 8)?,
         machine,
     };
-    let pipe = attach_store(Pipeline::new(spec), &args)?;
+    let pipe = Pipeline::new(spec);
 
     if let Some(addr) = args.flag("listen") {
         return listen(pipe, config, addr, args.flag_num("for-secs", 0u64)?, out);
@@ -345,6 +343,5 @@ mod tests {
         assert!(s.contains("--shards"), "{s}");
         assert!(s.contains("--queue-pages"), "{s}");
         assert!(s.contains("--listen"), "{s}");
-        assert!(s.contains("--store-dir"), "{s}");
     }
 }

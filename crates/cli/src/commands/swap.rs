@@ -1,7 +1,7 @@
 //! `rap swap` — certified live partial reconfiguration planning over an
 //! admitted multi-tenant composition, through the pipeline's Swap stage.
 
-use super::{attach_store, outln, parse_suite};
+use super::{outln, parse_suite};
 use crate::args::Args;
 use crate::CliError;
 use rap_admit::AdmitOptions;
@@ -37,8 +37,6 @@ FLAGS:
     --banks N       fix the shared fabric at N banks (default: auto-size
                     the smallest fabric that fits every resident)
     --bv-budget N   cap fabric-wide counter/BV columns at N
-    --store-dir D   persistent artifact store directory: solo and composed
-                    plans are recalled from earlier runs
     --json          emit the swap analysis as JSON on stdout";
 
 /// Runs the subcommand.
@@ -94,7 +92,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ..AdmitOptions::default()
     };
 
-    let pipe = attach_store(Pipeline::new(spec), &args)?;
+    let pipe = Pipeline::new(spec);
     let corpora: Vec<_> = suites.iter().map(|&s| pipe.corpus(s)).collect();
     let sims: Vec<Simulator> = suites
         .iter()

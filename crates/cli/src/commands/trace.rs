@@ -32,9 +32,7 @@ FLAGS:
     --top N         hottest arrays to list       (default 5)
     --out FILE      also write the raw JSONL trace to FILE
     --json          emit the raw JSONL trace on stdout instead of the
-                    rendered summary
-    --store-dir D   persistent artifact store directory: recall the plan
-                    from an earlier run instead of recompiling";
+                    rendered summary";
 
 /// Width of the activity profile's bar column.
 const BAR_WIDTH: usize = 40;
@@ -62,10 +60,7 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }));
     let top: usize = args.flag_num("top", 5)?;
 
-    let pipe = super::attach_store(
-        Pipeline::new(spec).with_telemetry(Arc::clone(&telemetry)),
-        &args,
-    )?;
+    let pipe = Pipeline::new(spec).with_telemetry(Arc::clone(&telemetry));
     let corpus = pipe.corpus(suite);
     let summary = pipe
         .eval(machine, suite, corpus.patterns(), corpus.input(), None)

@@ -15,7 +15,6 @@
 //! rap swap    <suite> [<suite>...] --out <suite> --in <suite> [--json]
 //! rap serve   <suite> [<suite>...] [--shards N] [--queue-pages N] [--listen ADDR] [--json]
 //! rap trace   <suite> [--machine M] [--sample N] [--top N] [--out FILE] [--json]
-//! rap cache   stats|gc|clear [--store-dir DIR] [--max-bytes N] [--json]
 //! ```
 //!
 //! Pattern files contain one PCRE-style pattern per line; blank lines and
@@ -80,7 +79,6 @@ COMMANDS:
     swap       Certify a live tenant hot-swap on an admitted composition
     serve      Run the multi-tenant streaming scan service over suite tenants
     trace      Profile one suite with cycle-level telemetry attached
-    cache      Inspect or manage the persistent artifact store
     help       Show this message
 
 Run `rap <COMMAND> --help` for command-specific flags.";
@@ -111,7 +109,6 @@ pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError
         "analyze" => commands::analyze::run(rest, out),
         "bound" => commands::bound::run(rest, out),
         "trace" => commands::trace::run(rest, out),
-        "cache" => commands::cache::run(rest, out),
         "help" | "--help" | "-h" => {
             writeln!(out, "{USAGE}").map_err(|e| CliError::Runtime(e.to_string()))
         }

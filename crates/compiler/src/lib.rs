@@ -35,11 +35,10 @@ pub use nfa::CompiledNfa;
 use rap_arch::config::ArchConfig;
 use rap_regex::rewrite::unfold_below_threshold;
 use rap_regex::{parse_pattern, ParseError, Pattern, Regex};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The execution mode a regex compiles to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Basic homogeneous NFA.
     Nfa,
@@ -60,7 +59,7 @@ impl fmt::Display for Mode {
 }
 
 /// Compiler parameters (§4 and the design-space exploration of §5.3).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompilerConfig {
     /// Bounded repetitions with an upper bound at or below this are
     /// unfolded into plain states (Example 4.1 uses 4).
@@ -158,7 +157,7 @@ impl From<rap_arch::config::BvDepthError> for CompileError {
 }
 
 /// A regex compiled for one of the three modes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Compiled {
     /// Basic NFA image.
     Nfa(CompiledNfa),

@@ -6,10 +6,9 @@ use rap_arch::encoding::single_code;
 use rap_automata::lnfa::Lnfa;
 use rap_regex::rewrite::unfold_below_threshold;
 use rap_regex::Regex;
-use serde::{Deserialize, Serialize};
 
 /// Where an LNFA's state matching happens (§3.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MatchPath {
     /// All classes fit a single 32-bit code: matched in the CAM, one column
     /// per state (84% of LNFAs in the paper's benchmarks).
@@ -20,7 +19,7 @@ pub enum MatchPath {
 }
 
 /// One linear chain plus its matching path.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LnfaUnit {
     /// The chain.
     pub lnfa: Lnfa,
@@ -41,7 +40,7 @@ impl LnfaUnit {
 }
 
 /// A regex compiled for LNFA mode: a union of chains.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CompiledLnfa {
     /// The chains; the regex matches when any chain matches.
     pub units: Vec<LnfaUnit>,

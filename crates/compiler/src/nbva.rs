@@ -6,11 +6,10 @@ use rap_arch::encoding::column_count;
 use rap_automata::nbva::{Nbva, ReadAction, StateKind};
 use rap_regex::rewrite::{split_bounded, unfold_below_threshold};
 use rap_regex::{CharClass, Regex};
-use serde::{Deserialize, Serialize};
 
 /// Bit-vector storage allocated to one NBVA state (row-first mapping of
 /// §3.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BvAlloc {
     /// Bit-vector width in bits (the repetition bound).
     pub width_bits: u32,
@@ -23,7 +22,7 @@ pub struct BvAlloc {
 }
 
 /// A regex compiled for NBVA mode.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CompiledNbva {
     /// The automaton (bit-vector semantics included).
     pub nbva: Nbva,

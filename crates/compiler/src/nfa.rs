@@ -4,11 +4,10 @@ use crate::{CompileError, CompilerConfig};
 use rap_arch::encoding::column_count;
 use rap_automata::nfa::Nfa;
 use rap_regex::Regex;
-use serde::{Deserialize, Serialize};
 
 /// A regex compiled for NFA mode: the Glushkov automaton (bounded
 /// repetitions fully unfolded) plus per-state CAM column counts.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CompiledNfa {
     /// The automaton.
     pub nfa: Nfa,

@@ -14,7 +14,6 @@
 //! The rule enums themselves stay in their home crates (they document the
 //! checks); this crate is generic over any type implementing [`RuleCode`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rule identifier with a stable, append-only diagnostic code such as
@@ -25,7 +24,7 @@ pub trait RuleCode: Copy + Eq + fmt::Debug {
 }
 
 /// How bad a finding is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Advisory only; the artifact is legal.
     Info,
@@ -48,7 +47,7 @@ impl fmt::Display for Severity {
 /// Where a finding points: any subset of array / pattern / state / tile /
 /// bin indices. The mapping verifier fills array/tile/bin; the automata
 /// analyzer fills pattern/state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Location {
     /// Array index in `Mapping::arrays`.
     pub array: Option<usize>,
@@ -131,7 +130,7 @@ impl fmt::Display for Location {
 }
 
 /// One finding.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic<R> {
     /// The violated (or advisory) rule.
     pub rule: R,
@@ -157,7 +156,7 @@ impl<R: RuleCode> fmt::Display for Diagnostic<R> {
 }
 
 /// A lint run's output: every finding, in check order.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Report<R> {
     /// The findings.
     pub diagnostics: Vec<Diagnostic<R>>,

@@ -2,15 +2,15 @@
 //!
 //! Every diagnostic family in the workspace — the V-rules of the
 //! placement verifier, the A-rules of the IR analyzer, the B-rules of
-//! the bounds analyzer, the C-rules of the store-health check, the
-//! S-rules of the multi-tenant admission analyzer, the R-rules of the
-//! streaming scan service, the Q-rules of the hot-swap safety analyzer
-//! — shares the `rap-diag` report machinery, and their codes land in
-//! one global namespace (CLI JSON, CSV artifacts, CI logs). This test
+//! the bounds analyzer, the S-rules of the multi-tenant admission
+//! analyzer, the R-rules of the streaming scan service, the Q-rules of
+//! the hot-swap safety analyzer — shares the `rap-diag` report
+//! machinery, and their codes land in one global namespace (CLI JSON,
+//! CSV artifacts, CI logs). This test
 //! pins the registry invariants:
 //!
 //! * codes are globally unique across all families,
-//! * every code has the stable `^[VABCSRQ][0-9]{3}-[a-z0-9-]+$` shape,
+//! * every code has the stable `^[VABSRQ][0-9]{3}-[a-z0-9-]+$` shape,
 //!   with the family prefix matching its crate,
 //! * numbering within a family is dense, 1-based, and in `all()` order
 //!   (codes are append-only; renumbering breaks downstream consumers),
@@ -31,18 +31,17 @@ fn families() -> Vec<(char, Vec<&'static str>)> {
         ('V', codes(rap_verify::Rule::all())),
         ('A', codes(&rap_analyze::Rule::all())),
         ('B', codes(&rap_bound::Rule::all())),
-        ('C', codes(&rap_cli::commands::cache::CacheRule::all())),
         ('S', codes(&rap_admit::Rule::all())),
         ('R', codes(&rap_serve::Rule::all())),
         ('Q', codes(&rap_swap::Rule::all())),
     ]
 }
 
-/// `code` matches `^[VABCSRQ][0-9]{3}-[a-z0-9-]+$`.
+/// `code` matches `^[VABSRQ][0-9]{3}-[a-z0-9-]+$`.
 fn well_formed(code: &str) -> bool {
     let bytes = code.as_bytes();
     bytes.len() > 5
-        && matches!(bytes[0], b'V' | b'A' | b'B' | b'C' | b'S' | b'R' | b'Q')
+        && matches!(bytes[0], b'V' | b'A' | b'B' | b'S' | b'R' | b'Q')
         && bytes[1..4].iter().all(u8::is_ascii_digit)
         && bytes[4] == b'-'
         && bytes[5..]
@@ -68,7 +67,7 @@ fn codes_are_globally_unique() {
             assert_eq!(duplicated, 1, "number {} reused in {family}", &code[1..4]);
         }
     }
-    assert!(seen.len() >= 53, "registry lost codes: {seen:?}");
+    assert!(seen.len() >= 51, "registry lost codes: {seen:?}");
 }
 
 #[test]

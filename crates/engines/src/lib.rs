@@ -31,10 +31,8 @@ pub use dfa::{Dfa, HybridEngine};
 pub use interp::{NfaEngine, PrefilteredNfa};
 pub use shift_and::ShiftAndEngine;
 
-use serde::{Deserialize, Serialize};
-
 /// One match hit: pattern index and the offset just past the final byte.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Hit {
     /// Pattern index in the engine's pattern list.
     pub pattern: usize,

@@ -12,10 +12,9 @@
 
 use crate::plan::{ArrayKind, ArrayPlan, MapperConfig};
 use rap_compiler::{CompiledLnfa, MatchPath};
-use serde::{Deserialize, Serialize};
 
 /// A reference to one chain of a compiled LNFA image.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChainRef {
     /// Pattern index in the workload.
     pub pattern: usize,
@@ -37,7 +36,7 @@ impl ChainRef {
 }
 
 /// A bin of chains mapped regex-sliced over a span of tiles.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Bin {
     /// Number of regions per tile (the bin size B used for this bin; the
     /// member count may be smaller when the workload runs out of chains).

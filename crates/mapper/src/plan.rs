@@ -3,14 +3,13 @@
 use crate::binning::Bin;
 use rap_arch::config::ArchConfig;
 use rap_compiler::Mode;
-use serde::{Deserialize, Serialize};
 
 /// Fixed bit-vector-module geometry (BVAP-style add-on, §2.2). When set,
 /// bit vectors live in dedicated per-tile BVM slots instead of CAM columns:
 /// a BV state consumes `⌈width / slot_bits⌉` slots and only
 /// `slots_per_tile` slots exist per tile — the rigidity RAP's unified
 /// storage removes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BvmConfig {
     /// Bits per BVM slot.
     pub slot_bits: u32,
@@ -28,7 +27,7 @@ impl Default for BvmConfig {
 }
 
 /// Mapper parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MapperConfig {
     /// Target architecture geometry.
     pub arch: ArchConfig,
@@ -57,7 +56,7 @@ impl Default for MapperConfig {
 }
 
 /// Placement of one NFA/NBVA image inside an array.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Placement {
     /// Index of the pattern in the workload.
     pub pattern: usize,
@@ -69,7 +68,7 @@ pub struct Placement {
 }
 
 /// The mode-specific contents of an array.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ArrayKind {
     /// Basic NFA tiles.
     Nfa {
@@ -91,7 +90,7 @@ pub enum ArrayKind {
 }
 
 /// One allocated RAP array.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ArrayPlan {
     /// Mode-specific contents.
     pub kind: ArrayKind,
@@ -133,7 +132,7 @@ impl ArrayPlan {
 }
 
 /// A complete mapping of a workload onto arrays.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Mapping {
     /// The allocated arrays.
     pub arrays: Vec<ArrayPlan>,

@@ -14,13 +14,11 @@
 
 use crate::cache::{hash_configs, CacheKey, StableHasher};
 use crate::error::EvalError;
-use crate::store::{Persist, PersistError};
 use rap_circuit::Machine;
 use rap_compiler::{Compiled, Mode};
 use rap_mapper::Mapping;
 use rap_regex::{Pattern, Regex};
 use rap_sim::{BankStats, RunResult, SimError, Simulator};
-use serde::{Deserialize, Serialize};
 
 /// Stage 1 artifact: a parse-validated pattern set with its source text.
 ///
@@ -155,7 +153,7 @@ impl PatternSet {
 }
 
 /// Stage 2 artifact: hardware images for one machine.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CompiledSet {
     machine: Machine,
     forced: Option<Mode>,
@@ -253,7 +251,7 @@ impl CompiledSet {
 /// Stage 2½ artifact: analyzed (and, in prune mode, rewritten) images plus
 /// the analyzer's findings. Obtained through [`CompiledSet::analyze`];
 /// mapping an `AnalyzedSet` places the analyzer's output images.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AnalyzedSet {
     compiled: CompiledSet,
     report: rap_analyze::Report,
@@ -289,12 +287,7 @@ impl AnalyzedSet {
 
 /// Stage 3 artifact: images plus their array placement — *not yet checked
 /// for hardware legality*, so it cannot be simulated.
-///
-/// `MappedPlan` is the wire artifact of the persistent store: a plan read
-/// back from disk deserializes into this *unverified* shape and must earn
-/// back its [`VerifiedPlan`] status through [`MappedPlan::verify`], so a
-/// corrupt or tampered payload is rejected by the V-rules, never trusted.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MappedPlan {
     compiled: CompiledSet,
     mapping: Mapping,
@@ -429,34 +422,6 @@ impl VerifiedPlan {
             self.compiled.machine,
             None,
         )
-    }
-}
-
-/// Disk-tier persistence for verified plans.
-///
-/// Only the durable state — the compile product and its placement — is
-/// encoded; verification advisories and bound analyses are *recomputed*
-/// on load rather than trusted from disk. `from_payload` therefore
-/// decodes into the unverified [`MappedPlan`] shape and re-runs the full
-/// V-rule verifier: a payload that decodes but describes an illegal plan
-/// (stale encoding, bit rot the checksum missed, deliberate tampering) is
-/// rejected here and the store counts it as corrupt.
-impl Persist for VerifiedPlan {
-    fn to_payload(&self) -> Vec<u8> {
-        let mut e = serde::bin::Encoder::new();
-        self.compiled.serialize(&mut e);
-        self.mapping.serialize(&mut e);
-        e.into_bytes()
-    }
-
-    fn from_payload(payload: &[u8]) -> Result<VerifiedPlan, PersistError> {
-        let mut d = serde::bin::Decoder::new(payload);
-        let compiled = CompiledSet::deserialize(&mut d)?;
-        let mapping = Mapping::deserialize(&mut d)?;
-        d.finish()?;
-        MappedPlan::from_parts(compiled, mapping)
-            .verify()
-            .map_err(|e| PersistError::Rejected(e.to_string()))
     }
 }
 

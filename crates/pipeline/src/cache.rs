@@ -1,4 +1,5 @@
-//! Content addressing for compile artifacts: keys and stable hashing.
+//! Content addressing for compile artifacts: keys, stable hashing, and
+//! the in-memory plan cache they address.
 //!
 //! Compile products are keyed by a *stable* hash of everything that
 //! determines them: the pattern sources, the target machine, the forced
@@ -6,37 +7,16 @@
 //! configurations. The hash is FNV-1a/128 computed over an explicit field
 //! serialization — independent of `std::hash::Hash` (whose output is not
 //! guaranteed stable across releases) and of struct layout.
-//!
-//! The storage side — the in-memory build-once map and the persistent
-//! on-disk tier addressed by these keys — lives in [`crate::store`].
 
 use rap_compiler::CompilerConfig;
 use rap_mapper::MapperConfig;
-use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::str::FromStr;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// A 128-bit content address identifying one compile product.
-///
-/// Its canonical text form — [`fmt::Display`] and [`FromStr`] — is 32
-/// lowercase hex digits, used verbatim as the disk-tier filename stem so
-/// keys look identical in reports, `rap cache` output, and `ls`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey(pub u128);
-
-impl fmt::Display for CacheKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
-    }
-}
-
-impl FromStr for CacheKey {
-    type Err = std::num::ParseIntError;
-
-    fn from_str(s: &str) -> Result<CacheKey, Self::Err> {
-        u128::from_str_radix(s, 16).map(CacheKey)
-    }
-}
 
 /// Streaming FNV-1a hasher over 128 bits, stable across platforms and
 /// releases.
@@ -224,6 +204,77 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+/// One key's build cell: empty until its artifact is built.
+type BuildCell<T> = Arc<Mutex<Option<Arc<T>>>>;
+
+/// The in-memory, content-addressed build-once cache.
+///
+/// An outer lock resolves the key to a per-key build cell, and the
+/// cell's own lock serializes construction, so two workers racing on the
+/// *same* key build the artifact exactly once while workers on
+/// *different* keys build concurrently.
+#[derive(Debug)]
+pub struct PlanCache<T> {
+    cells: Mutex<HashMap<CacheKey, BuildCell<T>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl<T> Default for PlanCache<T> {
+    fn default() -> PlanCache<T> {
+        PlanCache::new()
+    }
+}
+
+impl<T> PlanCache<T> {
+    /// An empty cache.
+    pub fn new() -> PlanCache<T> {
+        PlanCache {
+            cells: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// Returns the artifact for `key`, running `build` on a miss.
+    ///
+    /// Concurrent callers with the same key build once — the losers
+    /// wait on the per-key cell and receive the winner's artifact,
+    /// counted as hits. Failed builds are not cached, so a later retry
+    /// runs `build` again.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the error returned by `build`.
+    pub fn get_or_build<E>(
+        &self,
+        key: CacheKey,
+        build: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
+        let cell = {
+            let mut cells = self.cells.lock().expect("cache lock poisoned");
+            Arc::clone(cells.entry(key).or_default())
+        };
+        let mut slot = cell.lock().expect("cache cell lock poisoned");
+        if let Some(artifact) = slot.as_ref() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(artifact));
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let artifact = Arc::new(build()?);
+        *slot = Some(Arc::clone(&artifact));
+        Ok(artifact)
+    }
+
+    /// Running hit/miss totals.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,11 +319,24 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_text_form_round_trips() {
-        let key = CacheKey(0x0123_4567_89ab_cdef_0011_2233_4455_6677);
-        let text = key.to_string();
-        assert_eq!(text.len(), 32);
-        assert_eq!(text.parse::<CacheKey>().unwrap(), key);
-        assert!("not-hex".parse::<CacheKey>().is_err());
+    fn plan_cache_builds_once_per_key() {
+        let cache: PlanCache<u32> = PlanCache::new();
+        let key = CacheKey(7);
+        let a = cache.get_or_build(key, || Ok::<_, ()>(41)).expect("builds");
+        let b = cache
+            .get_or_build(key, || -> Result<u32, ()> { panic!("must not rebuild") })
+            .expect("cached");
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+    }
+
+    #[test]
+    fn failed_builds_are_retried() {
+        let cache: PlanCache<u32> = PlanCache::new();
+        let key = CacheKey(9);
+        assert!(cache.get_or_build(key, || Err::<u32, _>("boom")).is_err());
+        let v = cache.get_or_build(key, || Ok::<_, ()>(5)).expect("builds");
+        assert_eq!(*v, 5);
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
     }
 }

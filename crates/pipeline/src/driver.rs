@@ -7,9 +7,9 @@
 //! charging wall-clock and work counters to a [`PipelineReport`].
 
 use crate::artifact::{CompiledSet, MappedPlan, PatternSet, VerifiedPlan};
+use crate::cache::PlanCache;
 use crate::error::EvalError;
 use crate::report::{Metrics, PipelineReport, Stage};
-use crate::store::{DiskTier, StoreConfig, TierStats, TieredStore};
 use crate::summary::RunSummary;
 use crate::workload::{self, BenchConfig, SuiteCorpus};
 use rap_circuit::Machine;
@@ -83,8 +83,8 @@ where
 /// when admission succeeded. The composed plan re-entered the typed
 /// artifact chain through [`crate::MappedPlan::verify`], so a certified
 /// composition is also a structurally verified plan — and it lives in
-/// the same tiered plan store as solo plans, addressed by a key derived
-/// from the tenants' plan keys (order-insensitive).
+/// the same plan cache as solo plans, addressed by a key derived from
+/// the tenants' plan keys (order-insensitive).
 #[derive(Clone, Debug)]
 pub struct Admission {
     /// The static interference analysis (S001–S008 findings, fabric
@@ -127,7 +127,7 @@ impl Admission {
 pub struct Pipeline {
     spec: BenchConfig,
     workers: usize,
-    plans: TieredStore<VerifiedPlan>,
+    plans: PlanCache<VerifiedPlan>,
     metrics: Metrics,
     telemetry: Option<Arc<Telemetry>>,
     analysis: Option<rap_analyze::AnalyzeOptions>,
@@ -141,7 +141,7 @@ impl Pipeline {
         Pipeline {
             spec,
             workers: default_workers(),
-            plans: TieredStore::new(),
+            plans: PlanCache::new(),
             metrics: Metrics::default(),
             telemetry: None,
             analysis: None,
@@ -154,35 +154,6 @@ impl Pipeline {
     pub fn with_workers(mut self, workers: usize) -> Pipeline {
         self.workers = workers.max(1);
         self
-    }
-
-    /// Attaches a persistent disk tier behind the in-memory plan cache:
-    /// plans built in this process are written through to `config.dir`,
-    /// and later processes sharing the directory load them back instead
-    /// of compiling — a warm run of the full evaluation compiles nothing.
-    ///
-    /// Loaded plans are untrusted: they re-enter through the full
-    /// [`crate::MappedPlan::verify`] path (with the Bound stage re-run
-    /// when enabled), so a corrupt or tampered file is rejected, counted
-    /// ([`TierStats::corrupt`]), and rebuilt from source.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the store directory cannot be created.
-    pub fn with_store(mut self, config: StoreConfig) -> std::io::Result<Pipeline> {
-        let tier = DiskTier::<VerifiedPlan>::open(config)?;
-        self.plans = std::mem::take(&mut self.plans).with_disk(Box::new(tier));
-        Ok(self)
-    }
-
-    /// Whether a persistent disk tier is attached.
-    pub fn has_store(&self) -> bool {
-        self.plans.has_disk()
-    }
-
-    /// Disk-tier counters, when a store is attached.
-    pub fn store_stats(&self) -> Option<TierStats> {
-        self.plans.disk_stats()
     }
 
     /// Attaches an observability context: per-stage spans and cache
@@ -264,10 +235,7 @@ impl Pipeline {
 
     /// Returns the verified plan for `(patterns, machine, configs)`,
     /// compiling/mapping/verifying on a cache miss and recalling the
-    /// shared artifact on a hit. With a disk store attached, a miss first
-    /// probes the store: a disk hit re-verifies the loaded plan (and
-    /// re-runs the Bound stage when enabled — bound analyses are derived,
-    /// not persisted) instead of compiling.
+    /// shared artifact on a hit.
     ///
     /// # Errors
     ///
@@ -285,19 +253,7 @@ impl Pipeline {
         if let Some(options) = &self.bounds {
             key = crate::cache::bounds_key(key, options);
         }
-        let rehydrate = |plan: Arc<VerifiedPlan>| match &self.bounds {
-            Some(options) => {
-                let plan = self.metrics.timed(Stage::Bound, || {
-                    Arc::unwrap_or_clone(plan).bound(patterns.parsed(), options)
-                });
-                let bounds = plan.bounds().expect("bound stage attaches bounds");
-                self.metrics
-                    .record_bounds(bounds.arrays.len() as u64, bounds.total_peak_active());
-                Arc::new(plan)
-            }
-            None => plan,
-        };
-        self.plans.get_or_build(key, rehydrate, || {
+        self.plans.get_or_build(key, || {
             let compiled = self
                 .metrics
                 .timed(Stage::Compile, || patterns.compile(sim, forced))?;
@@ -409,8 +365,8 @@ impl Pipeline {
     /// path first, then [`rap_admit::admit`] decides co-residency under
     /// the fabric architecture of the *first* tenant's simulator. On
     /// certification the composed plan re-enters the typed chain
-    /// (assemble → map-from-parts → verify) and is cached/persisted
-    /// under an order-insensitive composition key, so re-admitting the
+    /// (assemble → map-from-parts → verify) and is cached under an
+    /// order-insensitive composition key, so re-admitting the
     /// same tenant set — in any order — recalls the artifact.
     ///
     /// # Errors
@@ -437,16 +393,12 @@ impl Pipeline {
                     .collect();
                 let key = crate::cache::compose_key(&pairs);
                 let machine = tenants[0].1.machine;
-                Some(self.plans.get_or_build(
-                    key,
-                    |p| p,
-                    || {
-                        let compiled = CompiledSet::assemble(machine, key, composed.images.clone());
-                        self.metrics.timed(Stage::Verify, || {
-                            MappedPlan::from_parts(compiled, composed.mapping.clone()).verify()
-                        })
-                    },
-                )?)
+                Some(self.plans.get_or_build(key, || {
+                    let compiled = CompiledSet::assemble(machine, key, composed.images.clone());
+                    self.metrics.timed(Stage::Verify, || {
+                        MappedPlan::from_parts(compiled, composed.mapping.clone()).verify()
+                    })
+                })?)
             }
             None => None,
         };
@@ -523,7 +475,7 @@ impl Pipeline {
     /// [`rap_swap::analyze_swap`] issues or refuses the certificate. On
     /// certification the spliced post-swap composition re-enters the
     /// typed chain (assemble → map-from-parts → verify) and is
-    /// cached/persisted under a swap-specific key derived from the
+    /// cached under a swap-specific key derived from the
     /// resident composition's key and the replacement's.
     ///
     /// # Errors
@@ -574,17 +526,13 @@ impl Pipeline {
                     name,
                     solo.compiled().key(),
                 );
-                Some(self.plans.get_or_build(
-                    key,
-                    |p| p,
-                    || {
-                        let compiled =
-                            CompiledSet::assemble(sim.machine, key, cert.composed.images.clone());
-                        self.metrics.timed(Stage::Verify, || {
-                            MappedPlan::from_parts(compiled, cert.composed.mapping.clone()).verify()
-                        })
-                    },
-                )?)
+                Some(self.plans.get_or_build(key, || {
+                    let compiled =
+                        CompiledSet::assemble(sim.machine, key, cert.composed.images.clone());
+                    self.metrics.timed(Stage::Verify, || {
+                        MappedPlan::from_parts(compiled, cert.composed.mapping.clone()).verify()
+                    })
+                })?)
             }
             None => None,
         };
@@ -609,11 +557,8 @@ impl Pipeline {
 
     /// Snapshots the instrumentation accumulated so far.
     pub fn report(&self) -> PipelineReport {
-        self.metrics.snapshot(
-            self.plans.stats(),
-            self.plans.disk_stats(),
-            workload::corpus_stats(),
-        )
+        self.metrics
+            .snapshot(self.plans.stats(), workload::corpus_stats())
     }
 }
 
@@ -795,95 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_pipeline_loads_plans_from_disk_without_compiling() {
-        let dir = std::env::temp_dir().join(format!(
-            "rap-pipe-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = BenchConfig {
-            patterns_per_suite: 4,
-            input_len: 256,
-            match_rate: 0.02,
-            seed: 3,
-        };
-
-        // Cold: compiles and writes through to disk.
-        let cold = Pipeline::new(spec)
-            .with_store(StoreConfig::at(&dir))
-            .expect("store opens");
-        let corpus = cold.corpus(Suite::Snort);
-        let sim = cold.simulator_for(Machine::Rap, Suite::Snort);
-        let cold_plan = cold.plan(&sim, corpus.patterns(), None).expect("plans");
-        let report = cold.report();
-        assert_eq!(report.patterns_compiled, 4);
-        let disk = report.disk_store.expect("disk tier attached");
-        assert_eq!((disk.hits, disk.misses, disk.writes), (0, 1, 1));
-
-        // Warm (fresh pipeline = fresh process-alike): loads from disk,
-        // re-verifies, compiles nothing.
-        let warm = Pipeline::new(spec)
-            .with_store(StoreConfig::at(&dir))
-            .expect("store opens");
-        let warm_plan = warm.plan(&sim, corpus.patterns(), None).expect("plans");
-        let report = warm.report();
-        assert_eq!(report.patterns_compiled, 0, "warm run must not compile");
-        assert_eq!(report.stage_secs(Stage::Compile), 0.0);
-        let disk = report.disk_store.expect("disk tier attached");
-        assert_eq!((disk.hits, disk.misses, disk.corrupt), (1, 0, 0));
-        // The loaded plan is behaviourally identical to the built one.
-        assert_eq!(
-            warm_plan.compiled().state_count(),
-            cold_plan.compiled().state_count()
-        );
-        let input = corpus.input();
-        assert_eq!(
-            warm_plan.simulate(input).matches,
-            cold_plan.simulate(input).matches
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_hit_reruns_bound_stage_when_enabled() {
-        let dir = std::env::temp_dir().join(format!(
-            "rap-pipe-store-bound-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = BenchConfig {
-            patterns_per_suite: 4,
-            input_len: 256,
-            match_rate: 0.02,
-            seed: 3,
-        };
-        let make = || {
-            Pipeline::new(spec)
-                .with_bounds(rap_bound::BoundOptions::bounds_only())
-                .with_store(StoreConfig::at(&dir))
-                .expect("store opens")
-        };
-
-        let cold = make();
-        let corpus = cold.corpus(Suite::Snort);
-        let sim = cold.simulator_for(Machine::Rap, Suite::Snort);
-        cold.plan(&sim, corpus.patterns(), None).expect("plans");
-
-        // Bound analyses are derived, not persisted: a disk hit must
-        // re-attach them by re-running the Bound stage.
-        let warm = make();
-        let plan = warm.plan(&sim, corpus.patterns(), None).expect("plans");
-        assert!(plan.bounds().is_some(), "bounds re-attached on disk hit");
-        let report = warm.report();
-        assert_eq!(report.patterns_compiled, 0);
-        assert!(report.arrays_bounded > 0);
-        assert!(report.stage_secs(Stage::Bound) > 0.0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn admission_certifies_and_caches_composed_plans() {
         let pipe = Pipeline::new(BenchConfig {
             patterns_per_suite: 4,
@@ -999,58 +855,6 @@ mod tests {
         assert!(!rejected.analysis.report.is_legal());
         let report = pipe.report();
         assert_eq!(report.compositions_rejected, 1);
-    }
-
-    #[test]
-    fn composed_plans_persist_and_reload_from_the_store() {
-        let dir = std::env::temp_dir().join(format!(
-            "rap-pipe-store-admit-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = BenchConfig {
-            patterns_per_suite: 4,
-            input_len: 256,
-            match_rate: 0.02,
-            seed: 5,
-        };
-        let make = || {
-            Pipeline::new(spec)
-                .with_store(StoreConfig::at(&dir))
-                .expect("store opens")
-        };
-
-        let cold = make();
-        let snort = cold.corpus(Suite::Snort);
-        let yara = cold.corpus(Suite::Yara);
-        let sim = cold.simulator_for(Machine::Rap, Suite::Snort);
-        let tenants = [
-            ("snort", &sim, snort.patterns()),
-            ("yara", &sim, yara.patterns()),
-        ];
-        let first = cold
-            .admit(&tenants, &rap_admit::AdmitOptions::default())
-            .expect("admits");
-        assert!(first.admitted());
-        // Two solo plans + one composed plan written through.
-        assert_eq!(cold.report().disk_store.expect("disk").writes, 3);
-
-        // A warm pipeline recalls all three; the composed plan still
-        // re-enters through verification.
-        let warm = make();
-        let second = warm
-            .admit(&tenants, &rap_admit::AdmitOptions::default())
-            .expect("admits");
-        assert!(second.admitted());
-        let report = warm.report();
-        assert_eq!(
-            report.patterns_compiled, 0,
-            "warm admission compiles nothing"
-        );
-        let disk = report.disk_store.expect("disk");
-        assert_eq!((disk.hits, disk.misses, disk.corrupt), (3, 0, 0));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,18 +14,14 @@
 //!    opt-in ([`Pipeline::with_analysis`]): it lints the compiled images
 //!    and, in prune mode, hands the mapper a semantically equivalent but
 //!    smaller automaton.
-//! 2. **Content-addressed caching.** Verified plans live in a tiered
-//!    [`TieredStore`] keyed by a stable FNV-1a/128 hash of (pattern
-//!    sources, machine, forced mode, `CompilerConfig`, `MapperConfig`):
-//!    an in-memory tier means each distinct configuration compiles
-//!    exactly once per process, and an optional persistent disk tier
-//!    ([`Pipeline::with_store`]) carries plans across processes — a warm
-//!    second run compiles nothing. Disk artifacts are untrusted: they
-//!    re-enter through [`MappedPlan::verify`], so corruption is rejected,
-//!    never simulated. Workload corpora are memoized process-wide
-//!    ([`suite_corpus`]). Certified multi-tenant compositions
-//!    ([`Pipeline::admit`]) live in the same store, addressed by an
-//!    order-insensitive key over the tenants' plan keys.
+//! 2. **Content-addressed caching.** Verified plans live in an in-memory
+//!    [`PlanCache`] keyed by a stable FNV-1a/128 hash of (pattern
+//!    sources, machine, forced mode, `CompilerConfig`, `MapperConfig`),
+//!    so each distinct configuration compiles exactly once per pipeline.
+//!    Workload corpora are memoized process-wide ([`suite_corpus`]).
+//!    Certified multi-tenant compositions ([`Pipeline::admit`]) live in
+//!    the same cache, addressed by an order-insensitive key over the
+//!    tenants' plan keys.
 //! 3. **Parallel fan-out with instrumentation.** Independent
 //!    (machine × suite) cells run on scoped worker threads
 //!    ([`Pipeline::grid`]), and every stage's wall-clock plus cache
@@ -61,21 +57,16 @@ pub mod cache;
 pub mod driver;
 pub mod error;
 pub mod report;
-pub mod store;
 pub mod summary;
 pub mod workload;
 
 pub use artifact::{
     build_plan, build_plan_sim, AnalyzedSet, CompiledSet, MappedPlan, PatternSet, VerifiedPlan,
 };
-pub use cache::{CacheKey, CacheStats, StableHasher};
+pub use cache::{CacheKey, CacheStats, PlanCache, StableHasher};
 pub use driver::{default_workers, par_map, Admission, Pipeline, SwapOutcome};
 pub use error::EvalError;
 pub use report::{PipelineReport, Stage, STAGES};
-pub use store::{
-    ArtifactTier, DiskStore, DiskTier, MemoryTier, Persist, PersistError, StoreConfig, StoreEntry,
-    TierLoad, TierStats, TieredStore, STORE_FORMAT_VERSION,
-};
 pub use summary::RunSummary;
 pub use workload::{corpus_stats, suite_corpus, BenchConfig, SuiteCorpus};
 

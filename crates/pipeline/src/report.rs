@@ -14,7 +14,6 @@
 //! the same numbers also appear in the Prometheus snapshot.
 
 use crate::cache::CacheStats;
-use crate::store::TierStats;
 use rap_telemetry::{Counter, Gauge, Histogram, Registry};
 use std::fmt;
 
@@ -119,12 +118,6 @@ pub(crate) struct Metrics {
     plan_cache_misses: Gauge,
     corpus_cache_hits: Gauge,
     corpus_cache_misses: Gauge,
-    store_hits: Gauge,
-    store_misses: Gauge,
-    store_writes: Gauge,
-    store_corrupt: Gauge,
-    store_stale: Gauge,
-    store_evictions: Gauge,
 }
 
 impl Default for Metrics {
@@ -165,12 +158,6 @@ impl Metrics {
             plan_cache_misses: registry.gauge("rap_pipeline_plan_cache_misses", &[]),
             corpus_cache_hits: registry.gauge("rap_pipeline_corpus_cache_hits", &[]),
             corpus_cache_misses: registry.gauge("rap_pipeline_corpus_cache_misses", &[]),
-            store_hits: registry.gauge("rap_store_hits", &[("tier", "disk")]),
-            store_misses: registry.gauge("rap_store_misses", &[("tier", "disk")]),
-            store_writes: registry.gauge("rap_store_writes", &[("tier", "disk")]),
-            store_corrupt: registry.gauge("rap_store_corrupt", &[("tier", "disk")]),
-            store_stale: registry.gauge("rap_store_stale", &[("tier", "disk")]),
-            store_evictions: registry.gauge("rap_store_evictions", &[("tier", "disk")]),
         }
     }
 
@@ -225,26 +212,13 @@ impl Metrics {
         self.grid_ns.add(ns);
     }
 
-    pub fn snapshot(
-        &self,
-        plan_cache: CacheStats,
-        disk_store: Option<TierStats>,
-        corpus_cache: CacheStats,
-    ) -> PipelineReport {
+    pub fn snapshot(&self, plan_cache: CacheStats, corpus_cache: CacheStats) -> PipelineReport {
         // Mirror the cache stats onto the registry so the Prometheus
         // snapshot carries them too.
         self.plan_cache_hits.set(plan_cache.hits);
         self.plan_cache_misses.set(plan_cache.misses);
         self.corpus_cache_hits.set(corpus_cache.hits);
         self.corpus_cache_misses.set(corpus_cache.misses);
-        if let Some(disk) = disk_store {
-            self.store_hits.set(disk.hits);
-            self.store_misses.set(disk.misses);
-            self.store_writes.set(disk.writes);
-            self.store_corrupt.set(disk.corrupt);
-            self.store_stale.set(disk.stale);
-            self.store_evictions.set(disk.evictions);
-        }
         let mut stage_ns = [0u64; 9];
         for (out, hist) in stage_ns.iter_mut().zip(&self.stage_ns) {
             *out = hist.sum();
@@ -252,7 +226,6 @@ impl Metrics {
         PipelineReport {
             stage_ns,
             plan_cache,
-            disk_store,
             corpus_cache,
             patterns_compiled: self.patterns.get(),
             states_compiled: self.states.get(),
@@ -276,13 +249,8 @@ pub struct PipelineReport {
     /// Cumulative wall-clock nanoseconds per stage, summed across workers
     /// (parallel stage time can exceed elapsed real time).
     pub stage_ns: [u64; 9],
-    /// Verified-plan memory-tier hits/misses. Without a disk store, a
-    /// miss is a distinct compile; with one, disk hits answer some misses
-    /// without compiling (see [`PipelineReport::disk_store`]).
+    /// Verified-plan cache hits/misses; each miss is a distinct build.
     pub plan_cache: CacheStats,
-    /// Persistent disk-tier counters, when a store is attached
-    /// ([`crate::Pipeline::with_store`]).
-    pub disk_store: Option<TierStats>,
     /// Process-wide workload memo hits/misses.
     pub corpus_cache: CacheStats,
     /// Patterns compiled (cache misses only — cache hits compile nothing).
@@ -336,13 +304,6 @@ impl fmt::Display for PipelineReport {
             "  plan cache   : {} hits, {} misses",
             self.plan_cache.hits, self.plan_cache.misses
         )?;
-        if let Some(disk) = &self.disk_store {
-            writeln!(
-                f,
-                "  disk store   : {} hits, {} misses, {} writes ({} corrupt, {} stale, {} evicted)",
-                disk.hits, disk.misses, disk.writes, disk.corrupt, disk.stale, disk.evictions
-            )?;
-        }
         writeln!(
             f,
             "  corpus memo  : {} hits, {} misses",
@@ -397,7 +358,7 @@ mod tests {
         m.add_compiled(3, 17);
         m.add_cell();
         m.record_grid(4, 1_000);
-        let r = m.snapshot(CacheStats::default(), None, CacheStats::default());
+        let r = m.snapshot(CacheStats::default(), CacheStats::default());
         assert!(r.stage_secs(Stage::Compile) > 0.0);
         assert_eq!(r.stage_secs(Stage::Map), 0.0);
         assert_eq!(r.patterns_compiled, 3);
@@ -423,7 +384,7 @@ mod tests {
         let b = Metrics::on(&registry);
         a.add_cell();
         b.add_cell();
-        let r = a.snapshot(CacheStats::default(), None, CacheStats::default());
+        let r = a.snapshot(CacheStats::default(), CacheStats::default());
         assert_eq!(r.cells_evaluated, 2, "cells registered twice must share");
     }
 

@@ -1,10 +1,9 @@
 //! Aggregate per-run numbers.
 
 use rap_sim::RunResult;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate numbers for one (machine, workload) run — one table cell row.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunSummary {
     /// Total energy in microjoules.
     pub energy_uj: f64,

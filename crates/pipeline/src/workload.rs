@@ -11,13 +11,12 @@ use crate::artifact::PatternSet;
 use crate::cache::CacheStats;
 use rap_regex::Regex;
 use rap_workloads::Suite;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Harness scale knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BenchConfig {
     /// Patterns generated per suite.
     pub patterns_per_suite: usize,

@@ -5,15 +5,12 @@
 
 use proptest::prelude::*;
 use rap_circuit::Machine;
-use rap_compiler::Mode;
-use rap_mapper::{ArrayKind, Mapping};
+use rap_mapper::ArrayKind;
 use rap_pipeline::{
-    build_plan, ArtifactTier, BenchConfig, CacheKey, DiskTier, EvalError, MappedPlan, PatternSet,
-    Persist, Pipeline, RunSummary, StoreConfig, TierLoad, VerifiedPlan,
+    build_plan, BenchConfig, EvalError, MappedPlan, PatternSet, Pipeline, RunSummary,
 };
 use rap_sim::Simulator;
 use rap_workloads::Suite;
-use serde::Serialize as _;
 use std::sync::Arc;
 
 fn tiny() -> BenchConfig {
@@ -100,136 +97,8 @@ fn arb_sources() -> impl Strategy<Value = Vec<String>> {
     prop::collection::vec(pat, 1..5)
 }
 
-/// Random NBVA-mode sources: bounded repetitions of a character class
-/// whose bounds survive unfolding (threshold 4), so the bit-vector IR is
-/// genuinely exercised.
-fn arb_nbva_sources() -> impl Strategy<Value = Vec<String>> {
-    let pat = (0u8..4, 5u32..9, 0u32..6)
-        .prop_map(|(a, lo, extra)| format!("{}[xy]{{{lo},{}}}z", (b'a' + a) as char, lo + extra));
-    prop::collection::vec(pat, 1..4)
-}
-
-/// Random LNFA-mode sources: plain literal runs, which the sequence
-/// rewriting always accepts.
-fn arb_lnfa_sources() -> impl Strategy<Value = Vec<String>> {
-    let pat = prop::collection::vec(0u8..26, 4..12).prop_map(|chars| {
-        chars
-            .into_iter()
-            .map(|c| (b'a' + c) as char)
-            .collect::<String>()
-    });
-    prop::collection::vec(pat, 1..4)
-}
-
-/// Sets one placement tile index to a value no array has, returning
-/// whether anything was mutated.
-fn corrupt_one_tile(mapping: &mut Mapping, victim: usize) -> bool {
-    for array in &mut mapping.arrays {
-        if let ArrayKind::Nfa { placements } | ArrayKind::Nbva { placements, .. } = &mut array.kind
-        {
-            for p in placements.iter_mut() {
-                let slot = victim % p.state_tile.len().max(1);
-                if let Some(t) = p.state_tile.get_mut(slot) {
-                    *t = 99;
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// A payload whose framing and checksum are valid but whose mapping is
-/// semantically illegal must be rejected by the disk tier *through the
-/// verify gate* — counted as corrupt and discarded, never a panic and
-/// never a trusted plan.
-#[test]
-fn semantically_tampered_payload_is_rejected_through_verify() {
-    let dir = std::env::temp_dir().join(format!(
-        "rap-pipeline-tamper-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let sim = Simulator::new(Machine::Rap);
-    let pats = PatternSet::parse(&["a.*z".to_string()]).expect("parses");
-    let compiled = pats.compile(&sim, None).expect("compiles");
-    let mut mapping = sim.map(compiled.images());
-    assert!(corrupt_one_tile(&mut mapping, 0), "plan has a placement");
-    assert!(
-        MappedPlan::from_parts(compiled.clone(), mapping.clone())
-            .verify()
-            .is_err(),
-        "the tampered mapping must be illegal"
-    );
-
-    // Encode exactly the way `Persist` does, so the header, framing, and
-    // checksum the store writes are all valid — only the *meaning* is bad.
-    let mut e = serde::bin::Encoder::new();
-    compiled.serialize(&mut e);
-    mapping.serialize(&mut e);
-    let payload = e.into_bytes();
-
-    let tier = DiskTier::<VerifiedPlan>::open(StoreConfig::at(&dir)).expect("store opens");
-    let key = CacheKey(0xDEAD_BEEF);
-    tier.disk().store(key, &payload);
-    assert!(
-        tier.disk().load(key).is_some(),
-        "the raw bytes pass the integrity check"
-    );
-
-    assert!(
-        matches!(tier.load(key), TierLoad::Corrupt),
-        "the typed load must reject the plan through Verify"
-    );
-    assert_eq!(tier.disk().stats().corrupt, 1, "counted as corrupt");
-    assert!(
-        !tier.disk().path_for(key).exists(),
-        "the poisoned entry is discarded"
-    );
-    assert!(
-        matches!(tier.load(key), TierLoad::Miss),
-        "subsequent loads are plain misses"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Persistence round-trip across all three compiled IRs: a verified
-    /// plan's payload must decode back (through the untrusted
-    /// `from_parts` → Verify door) to a plan whose re-serialization is
-    /// bit-identical, with equal placements and hardware images.
-    #[test]
-    fn persisted_plans_round_trip_bit_identically(
-        nfa in arb_sources(),
-        nbva in arb_nbva_sources(),
-        lnfa in arb_lnfa_sources(),
-    ) {
-        let sim = Simulator::new(Machine::Rap);
-        let cases: [(&Vec<String>, Option<Mode>); 3] =
-            [(&nfa, None), (&nbva, Some(Mode::Nbva)), (&lnfa, Some(Mode::Lnfa))];
-        for (sources, forced) in cases {
-            let pats = PatternSet::parse(sources).expect("sources parse");
-            let plan = build_plan(&sim, &pats, forced).expect("plan builds");
-            let payload = plan.to_payload();
-            let restored = VerifiedPlan::from_payload(&payload)
-                .expect("a faithful payload re-verifies");
-            prop_assert_eq!(
-                restored.to_payload(),
-                payload,
-                "re-serialization must be bit-identical ({:?})",
-                forced
-            );
-            prop_assert_eq!(restored.mapping(), plan.mapping());
-            prop_assert_eq!(
-                format!("{:?}", restored.compiled().images()),
-                format!("{:?}", plan.compiled().images())
-            );
-        }
-    }
 
     /// Corrupting any placement tile index must trip the verify gate:
     /// `MappedPlan::verify` refuses the plan, so no `VerifiedPlan` (and

@@ -2,10 +2,9 @@
 
 use crate::ast::Regex;
 use crate::charclass::CharClass;
-use serde::{Deserialize, Serialize};
 
 /// A bounded repetition occurrence found in a pattern.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RepetitionInfo {
     /// Lower bound m of `r{m,n}`.
     pub min: u32,
@@ -75,7 +74,7 @@ pub fn is_class_chain(regex: &Regex) -> bool {
 }
 
 /// Summary statistics of a pattern, used by the workload reports.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PatternStats {
     /// Glushkov positions before unfolding.
     pub leaves: usize,

@@ -11,7 +11,6 @@
 //! the compiler's rewriters can reason about them without eagerly expanding.
 
 use crate::charclass::CharClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A regular expression over the byte alphabet.
@@ -19,7 +18,7 @@ use std::fmt;
 /// `Concat` and `Alt` are n-ary to keep rewriting simple and trees shallow;
 /// the [smart constructors](Regex::concat) flatten nested applications and
 /// apply the obvious unit/absorption laws.
-#[derive(Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub enum Regex {
     /// ε — matches the empty string.
     #[default]

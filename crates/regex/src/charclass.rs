@@ -5,7 +5,6 @@
 //! (four `u64` words), so membership tests, unions, intersections and
 //! complements are all constant-time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A set of byte symbols, i.e. a predicate over the 256-symbol alphabet.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert!(!digits.contains(b'a'));
 /// assert_eq!(digits.len(), 10);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CharClass {
     words: [u64; 4],
 }

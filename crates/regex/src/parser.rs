@@ -12,11 +12,10 @@
 
 use crate::ast::Regex;
 use crate::charclass::CharClass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A parsed pattern: the regex body plus edge-anchoring flags.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Pattern {
     /// The pattern body.
     pub regex: Regex,

@@ -11,8 +11,8 @@
 //! The design follows the software–hardware split end to end:
 //!
 //! - **Registration** runs the full pipeline (compile → analyze → map →
-//!   verify → bound → admit), warm-started from the in-memory caches
-//!   and the persistent tiered store — a known pattern set performs
+//!   verify → bound → admit), warm-started from the pipeline's plan
+//!   cache — a pattern set the server has already planned performs
 //!   zero compile-stage work.
 //! - **Placement** lands each tenant on the least-loaded shard; the
 //!   shard's residents share one certified [`rap_admit::ComposedPlan`],

@@ -3,14 +3,14 @@
 //!
 //! Each shard owns one certified [`ComposedPlan`] covering its resident
 //! tenants. Registration re-runs admission over the residents plus the
-//! newcomer (warm-started from the pipeline's caches and persistent
-//! store, so a known pattern set performs zero compile-stage work); a
-//! refusal leaves the previous composition untouched. The composition
-//! fixes the shard's budgets and is what hot-swap analysis edits; it is
-//! never re-simulated. Admission certifies that each tenant's matches
-//! equal its solo run, so a scan job steps only the session's new bytes
-//! through the session's own [`rap_sim::StreamState`] over the tenant's
-//! solo plan.
+//! newcomer (warm-started from the pipeline's plan cache, so a pattern
+//! set the server has already planned performs zero compile-stage
+//! work); a refusal leaves the previous composition untouched. The
+//! composition fixes the shard's budgets and is what hot-swap analysis
+//! edits; it is never re-simulated. Admission certifies that each
+//! tenant's matches equal its solo run, so a scan job steps only the
+//! session's new bytes through the session's own
+//! [`rap_sim::StreamState`] over the tenant's solo plan.
 
 use std::collections::VecDeque;
 use std::fmt;

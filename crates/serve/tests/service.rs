@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use rap_pipeline::{BenchConfig, PatternSet, Pipeline, Stage, StoreConfig};
+use rap_pipeline::{BenchConfig, PatternSet, Pipeline};
 use rap_serve::{Client, RegisterReply, SendOutcome, ServeConfig, ServeError, Server};
 use rap_sim::MatchEvent;
 use rap_telemetry::Telemetry;
@@ -233,49 +233,27 @@ fn telemetry_counters_track_the_ops_surface() {
 
 #[test]
 fn warm_registration_compiles_nothing() {
-    let dir = std::env::temp_dir().join(format!(
-        "rap-serve-store-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
     let set = patterns(&["warm{2,5}start", "again"]);
-    {
-        let pipeline = Pipeline::new(small_spec())
-            .with_store(StoreConfig::at(&dir))
-            .expect("store opens");
-        let cold = Server::new(
-            pipeline,
-            ServeConfig {
-                shards: 1,
-                ..ServeConfig::default()
-            },
-        );
-        let session = cold.register("tenant", &set).expect("admits");
+    let server = server(1, 8);
+    let run = || {
+        let session = server.register("tenant", &set).expect("admits");
+        session.send(b"warmmmstart again").expect("open");
         session.finish();
-        assert!(cold.pipeline().report().patterns_compiled > 0);
-    }
-    let pipeline = Pipeline::new(small_spec())
-        .with_store(StoreConfig::at(&dir))
-        .expect("store opens");
-    let warm = Server::new(
-        pipeline,
-        ServeConfig {
-            shards: 1,
-            ..ServeConfig::default()
-        },
-    );
-    let session = warm.register("tenant", &set).expect("admits");
-    session.send(b"warmmmstart again").expect("open");
-    session.finish();
-    assert_eq!(session.drain().len(), 2);
-    let report = warm.pipeline().report();
+        session.drain()
+    };
+    let cold = run();
+    assert_eq!(cold.len(), 2);
+    let compiled = server.pipeline().report().patterns_compiled;
+    assert!(compiled > 0);
+
+    // Re-registering the finished tenant is answered from the plan cache.
+    let warm = run();
     assert_eq!(
-        report.patterns_compiled, 0,
+        server.pipeline().report().patterns_compiled,
+        compiled,
         "warm registration must not compile"
     );
-    assert_eq!(report.stage_secs(Stage::Compile), 0.0);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(warm, cold);
 }
 
 #[test]

@@ -1,11 +1,10 @@
 //! Simulation outputs.
 
 use rap_circuit::{EnergyMeter, Machine, Metrics};
-use serde::{Deserialize, Serialize};
 
 /// One reported match: pattern index and the offset just past its last
 /// symbol (AP-style report-on-final-STE semantics).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MatchEvent {
     /// Index of the pattern in the workload.
     pub pattern: usize,

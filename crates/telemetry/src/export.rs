@@ -1,10 +1,9 @@
 //! Exporters: JSONL trace files and a Prometheus-style text snapshot.
 //!
-//! JSON is hand-rolled here because the workspace's vendored `serde` is a
-//! no-op marker-trait stub. The emitted JSON is deliberately minimal —
-//! flat objects of string/integer/bool fields — and every field is
-//! written in a fixed order so two identical journals render to
-//! byte-identical files.
+//! JSON is hand-rolled here because the workspace has no serialization
+//! dependency. The emitted JSON is deliberately minimal — flat objects
+//! of string/integer/bool fields — and every field is written in a fixed
+//! order so two identical journals render to byte-identical files.
 
 use std::fmt::Write as _;
 

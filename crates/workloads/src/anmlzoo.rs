@@ -8,11 +8,10 @@
 use crate::builder;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The ANMLZoo benchmarks of Table 4.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AnmlZoo {
     /// Brill tagging rules: long literal phrases.
     Brill,

@@ -3,11 +3,10 @@
 use crate::builder;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The seven real-world suites of §5.1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// User-input validation patterns (regexlib.com) — NFA-dominated.
     RegexLib,
@@ -192,7 +191,7 @@ impl fmt::Display for Suite {
 }
 
 /// Target fraction of patterns per compiled mode (sums to 1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModeMix {
     /// Fraction compiling to basic NFA.
     pub nfa: f64,
@@ -203,7 +202,7 @@ pub struct ModeMix {
 }
 
 /// Generator knobs for one suite.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SuiteProfile {
     /// Target mode mix (Fig. 1).
     pub mix: ModeMix,

@@ -126,10 +126,8 @@ impl Rap {
     }
 
     /// Compiles through a shared [`pipeline::Pipeline`], so the plan
-    /// lands in (and can be recalled from) its caches — including the
-    /// persistent disk store when one is attached
-    /// ([`pipeline::Pipeline::with_store`]): a pattern set compiled by an
-    /// earlier process loads from disk instead of recompiling.
+    /// lands in (and can be recalled from) its plan cache: a pattern set
+    /// the pipeline has already planned is not compiled again.
     ///
     /// # Errors
     ///
@@ -241,39 +239,28 @@ mod tests {
 
     #[test]
     fn facade_compiles_through_shared_pipeline_store() {
-        let dir = std::env::temp_dir().join(format!(
-            "rap-facade-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = pipeline::BenchConfig {
+        let pipe = pipeline::Pipeline::new(pipeline::BenchConfig {
             patterns_per_suite: 2,
             input_len: 64,
             match_rate: 0.02,
             seed: 1,
-        };
+        });
         let patterns = vec!["hello world".to_string(), "x.*yz".to_string()];
         let sim = Simulator::new(Machine::Rap);
 
-        let cold_pipe = pipeline::Pipeline::new(spec)
-            .with_store(pipeline::StoreConfig::at(&dir))
-            .expect("store opens");
-        let cold = Rap::with_pipeline(&cold_pipe, &sim, &patterns).expect("compiles");
+        let cold = Rap::with_pipeline(&pipe, &sim, &patterns).expect("compiles");
+        let compiled = pipe.report().patterns_compiled;
+        assert_eq!(compiled, 2);
 
-        // A fresh pipeline over the same directory recalls the plan from
-        // disk: zero compiles, identical scan results.
-        let warm_pipe = pipeline::Pipeline::new(spec)
-            .with_store(pipeline::StoreConfig::at(&dir))
-            .expect("store opens");
-        let warm = Rap::with_pipeline(&warm_pipe, &sim, &patterns).expect("loads");
-        assert_eq!(warm_pipe.report().patterns_compiled, 0);
+        // A second facade over the same pipeline recalls the plan from
+        // its cache: no further compiles, identical scan results.
+        let warm = Rap::with_pipeline(&pipe, &sim, &patterns).expect("recalls");
+        assert_eq!(pipe.report().patterns_compiled, compiled);
         let input = b"hello world xqqyz";
         assert_eq!(
             warm.scan(input).matches,
             cold.scan(input).matches,
-            "disk-loaded plan must scan identically"
+            "cached plan must scan identically"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
