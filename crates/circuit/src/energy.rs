@@ -1,9 +1,10 @@
 //! Energy accounting.
 //!
-//! The simulator charges every micro-operation (CAM search, switch
-//! traversal, controller tick, wire toggle, …) to an [`EnergyMeter`], which
-//! keeps per-category subtotals so the evaluation can report breakdowns
-//! like Fig. 11 of the paper.
+//! The simulator counts every micro-operation (CAM search, switch
+//! traversal, controller tick, wire toggle, …) and, at the end of a run,
+//! prices the counts into an [`EnergyMeter`], which keeps per-category
+//! subtotals so the evaluation can report breakdowns like Fig. 11 of the
+//! paper.
 
 use std::collections::BTreeMap;
 use std::fmt;

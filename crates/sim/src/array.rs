@@ -4,11 +4,12 @@
 //! NFA/LNFA arrays consume one input byte every cycle, while an NBVA array
 //! that entered the bit-vector-processing phase spends the following
 //! `depth` cycles stalled (reporting [`ArraySim::stalled`]) before it
-//! accepts the next byte. Energy is charged per micro-operation against
-//! the circuit models; activity factors (active states per tile,
-//! cross-tile signals) come from the configuration *entering* each cycle,
-//! which is what toggles the switch fabric during that cycle's state
-//! transition.
+//! accepts the next byte. A tick prices nothing: it adds the cycle's
+//! micro-operations to the array's integer [`Activity`] counters, which
+//! [`CostModel::energy`](crate::CostModel) prices once per run. Activity
+//! factors (active states per tile, cross-tile signals) come from the
+//! configuration *entering* each cycle, which is what toggles the switch
+//! fabric during that cycle's state transition.
 //!
 //! A machine is plain owned data (run configurations, stall counter,
 //! power counters), so it persists between input chunks; each tick
@@ -20,13 +21,94 @@
 use crate::cost::CostModel;
 use crate::result::MatchEvent;
 use rap_automata::lnfa::{Lnfa, ShiftAndRun};
-use rap_automata::nbva::{Nbva, NbvaRun};
+use rap_automata::nbva::{Nbva, NbvaRun, StateKind};
 use rap_automata::nfa::{Nfa, NfaRun};
-use rap_circuit::energy::Category;
-use rap_circuit::{EnergyMeter, Machine};
+use rap_circuit::Machine;
 use rap_compiler::{Compiled, CompiledLnfa, CompiledNbva, CompiledNfa, MatchPath};
 use rap_mapper::{ArrayKind, ArrayPlan, Bin, Placement};
 use rap_telemetry::ProbeEvent;
+
+/// Columns of a tile's local switch: per-tile activity saturates here.
+pub(crate) const TILE_COLUMNS: u32 = 128;
+/// Columns of an array's global switch: cross-tile activity saturates here.
+pub(crate) const GLOBAL_COLUMNS: u32 = 256;
+
+/// Integer counts of the micro-operations an array ran, summed over its
+/// cycles (and, at the end of a run, over its arrays). Clamped sums are
+/// the activity factors of the Table 1 models, which are linear in
+/// activity, so pricing the sums once charges exactly what pricing every
+/// cycle would.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Activity {
+    /// Input cycles of NFA/NBVA arrays: each searches every tile and
+    /// traverses the global switch.
+    pub fabric_cycles: u64,
+    /// Tile-cycles of those input cycles.
+    pub fabric_tile_cycles: u64,
+    /// Σ over those tile-cycles of the tile's active states, at most
+    /// [`TILE_COLUMNS`].
+    pub clamped_tile_states: u64,
+    /// Σ over fabric cycles of cross-tile signals, at most
+    /// [`GLOBAL_COLUMNS`].
+    pub clamped_cross_signals: u64,
+    /// Σ cross-tile signals (global wire toggles).
+    pub cross_signals: u64,
+    /// Powered LNFA tile-cycles searching through the CAM.
+    pub cam_tile_cycles: u64,
+    /// Σ over those tile-cycles of candidate states, at most
+    /// [`TILE_COLUMNS`].
+    pub cam_candidates: u64,
+    /// Powered LNFA tile-cycles searching through the one-hot local switch.
+    pub switch_tile_cycles: u64,
+    /// Σ over those tile-cycles of two columns per candidate state, at
+    /// most [`TILE_COLUMNS`].
+    pub switch_columns: u64,
+    /// LNFA ring hops between adjacent tiles.
+    pub ring_hops: u64,
+    /// Σ over bit-vector-phase stall cycles of tiles with live vectors.
+    pub bv_tile_cycles: u64,
+    /// Tile-cycles powered (gated tiles excluded), stalls included.
+    pub powered_tile_cycles: u64,
+}
+
+impl Activity {
+    /// Counts one NFA/NBVA input cycle whose active states sit on the
+    /// tiles `active` yields, each with whether its signal crosses to
+    /// another tile. `tile_active` is per-tile scratch. Every tile is
+    /// powered.
+    fn fabric_cycle(&mut self, tile_active: &mut [u32], active: impl Iterator<Item = (u32, bool)>) {
+        tile_active.fill(0);
+        let mut cross_signals = 0u32;
+        for (tile, cross) in active {
+            tile_active[tile as usize] += 1;
+            cross_signals += u32::from(cross);
+        }
+        self.fabric_cycles += 1;
+        self.fabric_tile_cycles += tile_active.len() as u64;
+        self.powered_tile_cycles += tile_active.len() as u64;
+        let clamped = tile_active.iter().map(|&a| u64::from(a.min(TILE_COLUMNS)));
+        self.clamped_tile_states += clamped.sum::<u64>();
+        self.clamped_cross_signals += u64::from(cross_signals.min(GLOBAL_COLUMNS));
+        self.cross_signals += u64::from(cross_signals);
+    }
+}
+
+impl std::ops::AddAssign for Activity {
+    fn add_assign(&mut self, other: Activity) {
+        self.fabric_cycles += other.fabric_cycles;
+        self.fabric_tile_cycles += other.fabric_tile_cycles;
+        self.clamped_tile_states += other.clamped_tile_states;
+        self.clamped_cross_signals += other.clamped_cross_signals;
+        self.cross_signals += other.cross_signals;
+        self.cam_tile_cycles += other.cam_tile_cycles;
+        self.cam_candidates += other.cam_candidates;
+        self.switch_tile_cycles += other.switch_tile_cycles;
+        self.switch_columns += other.switch_columns;
+        self.ring_hops += other.ring_hops;
+        self.bv_tile_cycles += other.bv_tile_cycles;
+        self.powered_tile_cycles += other.powered_tile_cycles;
+    }
+}
 
 /// A point-in-time activity sample of one array, as seen by a telemetry
 /// probe (see [`ArraySim::observe`]).
@@ -86,15 +168,14 @@ pub(crate) trait ArraySim: Send {
         automata: &Automata<'_>,
         byte: Option<u8>,
         offset: usize,
-        meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     );
 
-    /// Tile-cycles powered so far.
-    fn powered_tile_cycles(&self) -> u64;
+    /// The micro-operations counted so far.
+    fn activity(&self) -> &Activity;
 
     /// Samples the array's current activity for a telemetry probe. Pure
-    /// observation: never charges energy or mutates state.
+    /// observation: never counts or mutates state.
     fn observe(&self) -> ArrayObservation;
 
     /// The probe event sampling this array, as array `index`, at `cycle`.
@@ -110,18 +191,30 @@ pub(crate) trait ArraySim: Send {
     }
 }
 
-/// Builds the fresh steppable machine for an array plan.
+/// Builds the fresh steppable machine for an array plan over its
+/// `automata` (from [`Automata::of`]).
 pub(crate) fn build_array(
-    compiled: &[Compiled],
     plan: &ArrayPlan,
+    automata: &Automata<'_>,
     cost: &CostModel,
 ) -> Box<dyn ArraySim> {
-    match &plan.kind {
-        ArrayKind::Nfa { placements } => Box::new(NfaArray::new(compiled, placements, plan, *cost)),
-        ArrayKind::Nbva { depth, placements } => {
-            Box::new(NbvaArray::new(compiled, placements, plan, *depth, *cost))
+    let tiles = plan.tiles_used as usize;
+    match (&plan.kind, automata) {
+        (ArrayKind::Nfa { placements }, Automata::Nfa(nfas)) => {
+            Box::new(NfaArray::new(placements, nfas, tiles))
         }
-        ArrayKind::Lnfa { bins } => Box::new(LnfaArray::new(compiled, bins, plan, *cost)),
+        (ArrayKind::Nbva { depth, placements }, Automata::Nbva(nbvas)) => {
+            let stall_per_phase = if cost.machine == Machine::Bvap {
+                cost.bvap_stall_cycles
+            } else {
+                u64::from(*depth)
+            };
+            Box::new(NbvaArray::new(placements, nbvas, tiles, stall_per_phase))
+        }
+        (ArrayKind::Lnfa { bins }, Automata::Lnfa(lnfas)) => {
+            Box::new(LnfaArray::new(bins, lnfas, tiles))
+        }
+        _ => unreachable!("Automata::of resolves the plan's own mode"),
     }
 }
 
@@ -155,42 +248,6 @@ fn expect_lnfa(compiled: &[Compiled], pattern: usize) -> &CompiledLnfa {
     }
 }
 
-/// Per-cycle housekeeping common to all modes: controllers and buffering.
-fn charge_overheads(meter: &mut EnergyMeter, cost: &CostModel, powered_tiles: u32) {
-    meter.charge(
-        Category::Controller,
-        cost.local_ctrl_pj * f64::from(powered_tiles) + cost.global_ctrl_pj,
-    );
-    meter.charge(Category::Buffer, cost.buffer_pj);
-}
-
-/// Charges state matching + transition for one NFA-mode cycle.
-fn charge_nfa_cycle(
-    meter: &mut EnergyMeter,
-    cost: &CostModel,
-    tile_active: &[u32],
-    cross_signals: u32,
-) {
-    let tile_cols = 128.0;
-    meter.charge(
-        Category::StateMatch,
-        cost.match_pj * tile_active.len() as f64,
-    );
-    for &active in tile_active {
-        let activity = (f64::from(active) / tile_cols).min(1.0);
-        meter.charge(
-            Category::LocalSwitch,
-            cost.local_switch.access_energy_pj(activity),
-        );
-    }
-    let g_activity = (f64::from(cross_signals) / 256.0).min(1.0);
-    meter.charge(
-        Category::GlobalSwitch,
-        cost.global_switch.access_energy_pj(g_activity),
-    );
-    meter.charge(Category::Wire, cost.wire_pj * f64::from(cross_signals));
-}
-
 /// Whether each state of a placement, given its successor lists, has a
 /// successor in a different tile (its active signal must traverse the
 /// global switch).
@@ -213,36 +270,23 @@ struct NfaArray {
     placements: Vec<Placement>,
     runs: Vec<NfaRun>,
     crosses: Vec<Vec<bool>>,
-    tiles: usize,
-    cost: CostModel,
     tile_active: Vec<u32>,
-    powered_tile_cycles: u64,
+    activity: Activity,
 }
 
 impl NfaArray {
-    fn new(
-        compiled: &[Compiled],
-        placements: &[Placement],
-        plan: &ArrayPlan,
-        cost: CostModel,
-    ) -> NfaArray {
-        let images: Vec<&CompiledNfa> = placements
-            .iter()
-            .map(|p| expect_nfa(compiled, p.pattern))
-            .collect();
+    fn new(placements: &[Placement], nfas: &[&Nfa], tiles: usize) -> NfaArray {
         let crosses = placements
             .iter()
-            .zip(&images)
-            .map(|(p, img)| cross_tile_flags(p, img.nfa.states().iter().map(|s| &s.succ[..])))
+            .zip(nfas)
+            .map(|(p, nfa)| cross_tile_flags(p, nfa.states().iter().map(|s| &s.succ[..])))
             .collect();
         NfaArray {
             placements: placements.to_vec(),
-            runs: images.iter().map(|img| img.nfa.start()).collect(),
+            runs: nfas.iter().map(|nfa| nfa.start()).collect(),
             crosses,
-            tiles: plan.tiles_used as usize,
-            cost,
-            tile_active: vec![0; plan.tiles_used as usize],
-            powered_tile_cycles: 0,
+            tile_active: vec![0; tiles],
+            activity: Activity::default(),
         }
     }
 }
@@ -257,29 +301,19 @@ impl ArraySim for NfaArray {
         automata: &Automata<'_>,
         byte: Option<u8>,
         offset: usize,
-        meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     ) {
         let (Automata::Nfa(nfas), Some(byte)) = (automata, byte) else {
             unreachable!("NFA arrays step NFAs and never stall")
         };
         // Activity entering this cycle drives the transition fabric.
-        self.tile_active.iter_mut().for_each(|c| *c = 0);
-        let mut cross_signals = 0u32;
-        for ((p, run), cross) in self
-            .placements
-            .iter()
-            .zip(self.runs.iter())
-            .zip(self.crosses.iter())
-        {
-            for q in run.active_bits().iter_ones() {
-                self.tile_active[p.state_tile[q] as usize] += 1;
-                cross_signals += u32::from(cross[q]);
-            }
-        }
-        charge_nfa_cycle(meter, &self.cost, &self.tile_active, cross_signals);
-        charge_overheads(meter, &self.cost, self.tiles as u32);
-        self.powered_tile_cycles += self.tiles as u64;
+        let placed = self.placements.iter().zip(&self.runs).zip(&self.crosses);
+        let active = placed.flat_map(|((p, run), cross)| {
+            run.active_bits()
+                .iter_ones()
+                .map(|q| (p.state_tile[q], cross[q]))
+        });
+        self.activity.fabric_cycle(&mut self.tile_active, active);
         for ((p, run), nfa) in self.placements.iter().zip(&mut self.runs).zip(nfas) {
             if run.step(nfa, byte) {
                 out.push(MatchEvent {
@@ -290,14 +324,14 @@ impl ArraySim for NfaArray {
         }
     }
 
-    fn powered_tile_cycles(&self) -> u64 {
-        self.powered_tile_cycles
+    fn activity(&self) -> &Activity {
+        &self.activity
     }
 
     fn observe(&self) -> ArrayObservation {
         ArrayObservation {
             active_states: self.runs.iter().map(|r| u64::from(r.active_count())).sum(),
-            powered_tiles: self.tiles as u64,
+            powered_tiles: self.tile_active.len() as u64,
         }
     }
 }
@@ -315,8 +349,6 @@ struct NbvaArray {
     /// (placement idx, state id, tile) of every BV state.
     bv_states: Vec<(usize, u32, u32)>,
     crosses: Vec<Vec<bool>>,
-    tiles: usize,
-    cost: CostModel,
     stall_per_phase: u64,
     /// Remaining stall cycles of the current bit-vector-processing phase.
     stall_remaining: u64,
@@ -324,57 +356,43 @@ struct NbvaArray {
     phase_active_tiles: u32,
     tile_active: Vec<u32>,
     bv_tile_active: Vec<bool>,
-    powered_tile_cycles: u64,
+    activity: Activity,
 }
 
 impl NbvaArray {
     fn new(
-        compiled: &[Compiled],
         placements: &[Placement],
-        plan: &ArrayPlan,
-        depth: u32,
-        cost: CostModel,
+        nbvas: &[&Nbva],
+        tiles: usize,
+        stall_per_phase: u64,
     ) -> NbvaArray {
-        let images: Vec<&CompiledNbva> = placements
+        let bv_states = placements
             .iter()
-            .map(|p| expect_nbva(compiled, p.pattern))
-            .collect();
-        let bv_states: Vec<(usize, u32, u32)> = placements
-            .iter()
+            .zip(nbvas)
             .enumerate()
-            .zip(images.iter())
-            .flat_map(|((i, p), img)| {
-                img.bv_allocs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| a.is_some())
+            .flat_map(|(i, (p, nbva))| {
+                let states = nbva.states().iter().enumerate();
+                states
+                    .filter(|(_, s)| matches!(s.kind, StateKind::Bv { .. }))
                     .map(move |(q, _)| (i, q as u32, p.state_tile[q]))
-                    .collect::<Vec<_>>()
             })
             .collect();
         let crosses = placements
             .iter()
-            .zip(&images)
-            .map(|(p, img)| cross_tile_flags(p, img.nbva.states().iter().map(|s| &s.succ[..])))
+            .zip(nbvas)
+            .map(|(p, nbva)| cross_tile_flags(p, nbva.states().iter().map(|s| &s.succ[..])))
             .collect();
-        let stall_per_phase = if cost.machine == Machine::Bvap {
-            cost.bvap_stall_cycles
-        } else {
-            u64::from(depth)
-        };
         NbvaArray {
             placements: placements.to_vec(),
-            runs: images.iter().map(|img| img.nbva.start()).collect(),
+            runs: nbvas.iter().map(|nbva| nbva.start()).collect(),
             bv_states,
             crosses,
-            tiles: plan.tiles_used as usize,
-            cost,
             stall_per_phase,
             stall_remaining: 0,
             phase_active_tiles: 0,
-            tile_active: vec![0; plan.tiles_used as usize],
-            bv_tile_active: vec![false; plan.tiles_used as usize],
-            powered_tile_cycles: 0,
+            tile_active: vec![0; tiles],
+            bv_tile_active: vec![false; tiles],
+            activity: Activity::default(),
         }
     }
 }
@@ -389,47 +407,34 @@ impl ArraySim for NbvaArray {
         automata: &Automata<'_>,
         byte: Option<u8>,
         offset: usize,
-        meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     ) {
         if self.stall_remaining > 0 {
             // One cycle of the bit-vector-processing pipeline: only tiles
             // with live vectors run (read → action/route → write back).
             self.stall_remaining -= 1;
-            let active = f64::from(self.phase_active_tiles);
-            self.powered_tile_cycles += u64::from(self.phase_active_tiles);
-            meter.charge(Category::BitVector, self.cost.bv_step_pj * active);
-            meter.charge(
-                Category::Controller,
-                self.cost.global_ctrl_pj + self.cost.local_ctrl_pj * active,
-            );
+            let active = u64::from(self.phase_active_tiles);
+            self.activity.bv_tile_cycles += active;
+            self.activity.powered_tile_cycles += active;
             return;
         }
         let (Automata::Nbva(nbvas), Some(byte)) = (automata, byte) else {
             unreachable!("NBVA arrays step NBVAs and a non-stalled tick needs a byte")
         };
-        self.powered_tile_cycles += self.tiles as u64;
-        self.tile_active.iter_mut().for_each(|c| *c = 0);
-        let mut cross_signals = 0u32;
-        for ((p, run), cross) in self
-            .placements
+        let placed = self.placements.iter().zip(&self.runs).zip(&self.crosses);
+        let plain = placed.flat_map(|((p, run), cross)| {
+            run.plain_active_bits()
+                .iter_ones()
+                .map(|q| (p.state_tile[q], cross[q]))
+        });
+        let (runs, crosses) = (&self.runs, &self.crosses);
+        let vectors = self
+            .bv_states
             .iter()
-            .zip(self.runs.iter())
-            .zip(self.crosses.iter())
-        {
-            for q in run.plain_active_bits().iter_ones() {
-                self.tile_active[p.state_tile[q] as usize] += 1;
-                cross_signals += u32::from(cross[q]);
-            }
-        }
-        for &(i, q, tile) in &self.bv_states {
-            if self.runs[i].vector(q).any() {
-                self.tile_active[tile as usize] += 1;
-                cross_signals += u32::from(self.crosses[i][q as usize]);
-            }
-        }
-        charge_nfa_cycle(meter, &self.cost, &self.tile_active, cross_signals);
-        charge_overheads(meter, &self.cost, self.tiles as u32);
+            .filter(|&&(i, q, _)| runs[i].vector(q).any())
+            .map(|&(i, q, tile)| (tile, crosses[i][q as usize]));
+        self.activity
+            .fabric_cycle(&mut self.tile_active, plain.chain(vectors));
 
         let mut bv_phase = false;
         for ((p, run), nbva) in self.placements.iter().zip(&mut self.runs).zip(nbvas) {
@@ -456,8 +461,8 @@ impl ArraySim for NbvaArray {
         }
     }
 
-    fn powered_tile_cycles(&self) -> u64 {
-        self.powered_tile_cycles
+    fn activity(&self) -> &Activity {
+        &self.activity
     }
 
     fn observe(&self) -> ArrayObservation {
@@ -468,7 +473,7 @@ impl ArraySim for NbvaArray {
             powered_tiles: if self.stall_remaining > 0 {
                 u64::from(self.phase_active_tiles)
             } else {
-                self.tiles as u64
+                self.tile_active.len() as u64
             },
         }
     }
@@ -484,7 +489,6 @@ struct ChainRun {
     run: ShiftAndRun,
     /// Absolute tile index of every chain position.
     state_tile: Vec<u32>,
-    len: usize,
 }
 
 /// LNFA array (§3.2): Shift-And in the active vector, power-gated tiles,
@@ -493,49 +497,41 @@ struct LnfaArray {
     chains: Vec<ChainRun>,
     tile_cam: Vec<bool>,
     tile_switch: Vec<bool>,
-    tile_initial: Vec<bool>,
     initial_cands: Vec<u32>,
-    tiles: usize,
-    cost: CostModel,
-    powered: Vec<bool>,
     cands: Vec<u32>,
-    powered_tile_cycles: u64,
+    activity: Activity,
 }
 
 impl LnfaArray {
-    fn new(compiled: &[Compiled], bins: &[Bin], plan: &ArrayPlan, cost: CostModel) -> LnfaArray {
-        let tiles = plan.tiles_used as usize;
+    fn new(bins: &[Bin], lnfas: &[&Lnfa], tiles: usize) -> LnfaArray {
         let mut chains: Vec<ChainRun> = Vec::new();
         // Which powered tiles search via the CAM vs the one-hot local
-        // switch, and which tiles hold initial states (never power-gated).
+        // switch.
         let mut tile_cam = vec![false; tiles];
         let mut tile_switch = vec![false; tiles];
-        let mut tile_initial = vec![false; tiles];
-        for bin in bins {
-            for member in &bin.members {
-                let img = expect_lnfa(compiled, member.pattern);
-                let lnfa = &img.units[member.unit].lnfa;
-                let state_tile: Vec<u32> = (0..lnfa.len() as u32)
-                    .map(|s| bin.first_tile + bin.tile_of_state(member, s))
-                    .collect();
-                for &t in &state_tile {
-                    match member.path {
-                        MatchPath::Cam => tile_cam[t as usize] = true,
-                        MatchPath::LocalSwitch => tile_switch[t as usize] = true,
-                    }
+        let members = bins
+            .iter()
+            .flat_map(|bin| bin.members.iter().map(move |m| (bin, m)));
+        for ((bin, member), lnfa) in members.zip(lnfas) {
+            let state_tile: Vec<u32> = (0..lnfa.len() as u32)
+                .map(|s| bin.first_tile + bin.tile_of_state(member, s))
+                .collect();
+            for &t in &state_tile {
+                match member.path {
+                    MatchPath::Cam => tile_cam[t as usize] = true,
+                    MatchPath::LocalSwitch => tile_switch[t as usize] = true,
                 }
-                tile_initial[state_tile[0] as usize] = true;
-                chains.push(ChainRun {
-                    pattern: member.pattern,
-                    run: lnfa.start(),
-                    state_tile,
-                    len: lnfa.len(),
-                });
             }
+            chains.push(ChainRun {
+                pattern: member.pattern,
+                run: lnfa.start(),
+                state_tile,
+            });
         }
         // Candidate states per tile: the always-armed initial states plus
         // the successors of active states. The active vector gates the CAM
-        // columns (§3.2), so matching energy scales with candidates.
+        // columns (§3.2), so matching energy scales with candidates, and a
+        // tile without candidates is power-gated.
         let mut initial_cands = vec![0u32; tiles];
         for chain in &chains {
             initial_cands[chain.state_tile[0] as usize] += 1;
@@ -544,13 +540,9 @@ impl LnfaArray {
             chains,
             tile_cam,
             tile_switch,
-            tile_initial,
             initial_cands,
-            tiles,
-            cost,
-            powered: vec![false; tiles],
             cands: vec![0; tiles],
-            powered_tile_cycles: 0,
+            activity: Activity::default(),
         }
     }
 }
@@ -565,58 +557,30 @@ impl ArraySim for LnfaArray {
         automata: &Automata<'_>,
         byte: Option<u8>,
         offset: usize,
-        meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
     ) {
         let (Automata::Lnfa(lnfas), Some(byte)) = (automata, byte) else {
             unreachable!("LNFA arrays step LNFAs and never stall")
         };
-        // A tile is powered if it holds an initial state or a state that
-        // can become active this cycle (an active predecessor shifts in).
-        self.powered.copy_from_slice(&self.tile_initial);
         self.cands.copy_from_slice(&self.initial_cands);
-        let mut ring_crossings = 0u32;
-        for chain in &self.chains {
-            for s in chain.run.states().iter_ones() {
-                if s + 1 < chain.len {
-                    let here = chain.state_tile[s];
-                    let next = chain.state_tile[s + 1];
-                    self.powered[next as usize] = true;
-                    self.cands[next as usize] += 1;
-                    if next != here {
-                        ring_crossings += 1;
-                    }
-                }
-            }
-        }
-        for t in 0..self.tiles {
-            if !self.powered[t] {
-                continue;
-            }
-            let activity = (f64::from(self.cands[t]) / 128.0).min(1.0);
+        let (_, ring_hops) = power_gate(&self.chains, &mut self.cands);
+        let activity = &mut self.activity;
+        for t in (0..self.cands.len()).filter(|&t| self.cands[t] > 0) {
+            activity.powered_tile_cycles += 1;
             if self.tile_cam[t] {
                 // Column-gated CAM search: wordline drive + the candidate
                 // columns' compare energy.
-                meter.charge(Category::StateMatch, 0.5 + self.cost.match_pj * activity);
+                activity.cam_tile_cycles += 1;
+                activity.cam_candidates += u64::from(self.cands[t].min(TILE_COLUMNS));
             }
             if self.tile_switch[t] {
                 // One-hot lookup in the local switch: two columns per
                 // candidate state.
-                meter.charge(
-                    Category::StateMatch,
-                    self.cost
-                        .local_switch
-                        .access_energy_pj((2.0 * activity).min(1.0)),
-                );
+                activity.switch_tile_cycles += 1;
+                activity.switch_columns += u64::from((2 * self.cands[t]).min(TILE_COLUMNS));
             }
         }
-        meter.charge(
-            Category::Wire,
-            self.cost.ring_hop_pj * f64::from(ring_crossings),
-        );
-        let powered_count = self.powered.iter().filter(|&&b| b).count() as u32;
-        self.powered_tile_cycles += u64::from(powered_count);
-        charge_overheads(meter, &self.cost, powered_count);
+        activity.ring_hops += ring_hops;
 
         for (chain, lnfa) in self.chains.iter_mut().zip(lnfas) {
             if chain.run.step(lnfa, byte) {
@@ -628,29 +592,37 @@ impl ArraySim for LnfaArray {
         }
     }
 
-    fn powered_tile_cycles(&self) -> u64 {
-        self.powered_tile_cycles
+    fn activity(&self) -> &Activity {
+        &self.activity
     }
 
     fn observe(&self) -> ArrayObservation {
-        // Mirror the tick's power-gating rule without touching the
-        // scratch vectors: a tile is powered if it holds an initial state
-        // or a state an active predecessor can shift into.
-        let mut powered = self.tile_initial.clone();
-        let mut active_states = 0u64;
-        for chain in &self.chains {
-            for s in chain.run.states().iter_ones() {
-                active_states += 1;
-                if s + 1 < chain.len {
-                    powered[chain.state_tile[s + 1] as usize] = true;
-                }
-            }
-        }
+        let mut cands = self.initial_cands.clone();
+        let (active_states, _) = power_gate(&self.chains, &mut cands);
         ArrayObservation {
             active_states,
-            powered_tiles: powered.iter().filter(|&&b| b).count() as u64,
+            powered_tiles: cands.iter().filter(|&&c| c > 0).count() as u64,
         }
     }
+}
+
+/// Power gating (§3.2): adds to each tile's candidate states in `cands`,
+/// which arrive holding its initial states, the states an active
+/// predecessor can shift into this cycle. A tile with candidates is
+/// powered. Returns the active states and the ring hops between tiles.
+fn power_gate(chains: &[ChainRun], cands: &mut [u32]) -> (u64, u64) {
+    let (mut active, mut ring_hops) = (0, 0);
+    for chain in chains {
+        for s in chain.run.states().iter_ones() {
+            active += 1;
+            if s + 1 < chain.state_tile.len() {
+                let next = chain.state_tile[s + 1];
+                cands[next as usize] += 1;
+                ring_hops += u64::from(next != chain.state_tile[s]);
+            }
+        }
+    }
+    (active, ring_hops)
 }
 
 #[cfg(test)]
@@ -690,24 +662,25 @@ mod tests {
     }
 
     /// Drives one array over `input`, running each bit-vector phase out
-    /// before the next byte. Returns (cycles, powered tile-cycles,
-    /// matches).
-    fn run(compiled: &[Compiled], plan: &ArrayPlan, input: &[u8]) -> (u64, u64, Vec<MatchEvent>) {
-        let cost = CostModel::for_machine(Machine::Rap);
-        let mut meter = EnergyMeter::new();
-        let mut state = build_array(compiled, plan, &cost);
+    /// before the next byte. Returns (cycles, activity, matches).
+    fn run(
+        compiled: &[Compiled],
+        plan: &ArrayPlan,
+        input: &[u8],
+    ) -> (u64, Activity, Vec<MatchEvent>) {
         let automata = Automata::of(compiled, plan);
+        let mut state = build_array(plan, &automata, &CostModel::for_machine(Machine::Rap));
         let mut cycles = 0u64;
         let mut matches = Vec::new();
         for (offset, &byte) in input.iter().enumerate() {
-            state.tick(&automata, Some(byte), offset, &mut meter, &mut matches);
+            state.tick(&automata, Some(byte), offset, &mut matches);
             cycles += 1;
             while state.stalled() {
-                state.tick(&automata, None, offset, &mut meter, &mut matches);
+                state.tick(&automata, None, offset, &mut matches);
                 cycles += 1;
             }
         }
-        (cycles, state.powered_tile_cycles(), matches)
+        (cycles, *state.activity(), matches)
     }
 
     #[test]
@@ -718,11 +691,17 @@ mod tests {
         // the `q`s clear the vector and nothing else fires. Hand count:
         //   cycles  = 6 input + 3 stall            = 9
         //   powered = 6 * 2 tiles + 3 * 1 tile     = 15 tile-cycles
-        let (cycles, powered, matches) = run(&compiled, &plan, b"xyqqqq");
+        let (cycles, activity, matches) = run(&compiled, &plan, b"xyqqqq");
         assert_eq!(cycles, 9);
         assert_eq!(cycles - 6, 3, "stall cycles");
-        assert_eq!(powered, 15);
+        assert_eq!(activity.powered_tile_cycles, 15);
         assert!(matches.is_empty());
+        // Six input cycles over both tiles, three stall cycles on the one
+        // live-vector tile, no LNFA work.
+        assert_eq!(activity.fabric_cycles, 6);
+        assert_eq!(activity.fabric_tile_cycles, 12);
+        assert_eq!(activity.bv_tile_cycles, 3);
+        assert_eq!(activity.ring_hops + activity.cam_tile_cycles, 0);
     }
 
     #[test]
@@ -732,10 +711,11 @@ mod tests {
         // BV phases fire before `z` completes the match at end offset 8:
         //   cycles  = 8 input + 6 * 3 stall        = 26
         //   powered = 8 * 2 tiles + 18 * 1 tile    = 34 tile-cycles
-        let (cycles, powered, matches) = run(&compiled, &plan, b"xyyyyyyz");
+        let (cycles, activity, matches) = run(&compiled, &plan, b"xyyyyyyz");
         assert_eq!(cycles, 26);
         assert_eq!(cycles - 8, 18, "stall cycles");
-        assert_eq!(powered, 34);
+        assert_eq!(activity.powered_tile_cycles, 34);
+        assert_eq!(activity.bv_tile_cycles, 18);
         assert_eq!(matches, vec![MatchEvent { pattern: 0, end: 8 }]);
     }
 }

@@ -22,12 +22,11 @@
 //! identical matches) plus [`BankStats`] — stalls, starvation, buffer
 //! occupancy, interrupts — for studying the buffering itself.
 
-use crate::array::{build_array, ArraySim, Automata};
-use crate::cost::CostModel;
+use crate::array::Automata;
 use crate::result::{MatchEvent, RunResult};
+use crate::stream::{Lane, Run};
 use rap_arch::buffers::Fifo;
-use rap_circuit::energy::Category;
-use rap_circuit::{EnergyMeter, Machine, Metrics};
+use rap_circuit::Machine;
 use rap_compiler::Compiled;
 use rap_mapper::Mapping;
 use rap_telemetry::{ProbeEvent, Telemetry};
@@ -56,9 +55,8 @@ pub struct BankStats {
     pub max_output_fifo_records: u64,
 }
 
-/// Per-array streaming state.
-struct ArrayLane<'a> {
-    sim: Box<dyn ArraySim>,
+/// One lane's ports into the buffer hierarchy.
+struct Port<'a> {
     automata: Automata<'a>,
     input_fifo: Fifo<(usize, u8)>,
     output_fifo: Fifo<MatchEvent>,
@@ -66,12 +64,20 @@ struct ArrayLane<'a> {
     fetch_pos: usize,
     /// Bytes consumed by the array so far.
     consumed: usize,
-    stalled_cycles: u64,
     starved_cycles: u64,
-    /// Match reports this lane has generated (pre-dedup, pre-anchoring).
-    produced: u64,
     /// Matches produced this cycle, en route to the output FIFO.
     pending: Vec<MatchEvent>,
+}
+
+/// Bytes resident across the array input FIFOs, and match records across
+/// the array output FIFOs plus the bank output buffer.
+fn occupancy(ports: &[Port<'_>], bank_output: &Fifo<MatchEvent>) -> (u64, u64) {
+    let bytes = ports.iter().map(|p| p.input_fifo.len() as u64).sum();
+    let records = ports
+        .iter()
+        .map(|p| p.output_fifo.len() as u64)
+        .sum::<u64>();
+    (bytes, records + bank_output.len() as u64)
 }
 
 /// Streams `input` through the bank buffer hierarchy of the mapping's
@@ -94,23 +100,18 @@ pub fn simulate_streaming(
     machine: Machine,
     telemetry: Option<(&Telemetry, &str)>,
 ) -> (RunResult, BankStats) {
-    crate::debug_assert_verified(compiled, mapping);
+    let mut run = Run::new(compiled, mapping, machine, telemetry);
     let arch = mapping.config.arch;
-    let cost = CostModel::for_machine(machine);
-    let mut meter = EnergyMeter::new();
-    let mut lanes: Vec<ArrayLane<'_>> = mapping
+    let mut ports: Vec<Port<'_>> = mapping
         .arrays
         .iter()
-        .map(|plan| ArrayLane {
-            sim: build_array(compiled, plan, &cost),
+        .map(|plan| Port {
             automata: Automata::of(compiled, plan),
             input_fifo: Fifo::new(arch.array_input_entries as usize),
             output_fifo: Fifo::new(arch.array_output_entries as usize),
             fetch_pos: 0,
             consumed: 0,
-            stalled_cycles: 0,
             starved_cycles: 0,
-            produced: 0,
             pending: Vec::new(),
         })
         .collect();
@@ -120,84 +121,64 @@ pub fn simulate_streaming(
     let mut cycles: u64 = 0;
     let mut interrupts: u64 = 0;
     let mut backpressure: u64 = 0;
+    let mut bank_reports: u64 = 0;
     let mut max_skew = 0usize;
     let mut max_input_fifo_bytes = 0u64;
     let mut max_output_fifo_records = 0u64;
-    let mut probe = telemetry.map(|(tel, label)| tel.probe(label));
 
-    let done = |lanes: &[ArrayLane<'_>]| {
-        lanes
-            .iter()
-            .all(|l| l.consumed == input.len() && !l.sim.stalled())
+    let done = |lanes: &[Lane], ports: &[Port<'_>]| {
+        (lanes.iter().zip(ports)).all(|(l, p)| p.consumed == input.len() && !l.array.stalled())
     };
 
-    while !lanes.is_empty() && !done(&lanes) {
+    while !ports.is_empty() && !done(&run.lanes, &ports) {
         cycles += 1;
         // The bank window: DMA cannot recycle a page until every array has
         // drained it, so the slowest lane bounds everyone's fetch range.
-        let min_consumed = lanes.iter().map(|l| l.consumed).min().unwrap_or(0);
-        let max_consumed = lanes.iter().map(|l| l.consumed).max().unwrap_or(0);
+        let min_consumed = ports.iter().map(|p| p.consumed).min().unwrap_or(0);
+        let max_consumed = ports.iter().map(|p| p.consumed).max().unwrap_or(0);
         max_skew = max_skew.max(max_consumed - min_consumed);
         let fetch_limit = (min_consumed + window).min(input.len());
 
-        if let Some(probe) = probe.as_mut() {
+        if let Some((_, probe)) = run.trace.as_mut() {
             if (cycles - 1).is_multiple_of(u64::from(probe.sample_every())) {
+                let (input_fifo_bytes, output_fifo_records) = occupancy(&ports, &bank_output);
                 probe.push(ProbeEvent::Bank {
                     cycle: cycles - 1,
                     min_consumed: min_consumed as u64,
                     max_consumed: max_consumed as u64,
-                    input_fifo_bytes: lanes.iter().map(|l| l.input_fifo.len() as u64).sum(),
-                    output_fifo_records: lanes
-                        .iter()
-                        .map(|l| l.output_fifo.len() as u64)
-                        .sum::<u64>()
-                        + bank_output.len() as u64,
+                    input_fifo_bytes,
+                    output_fifo_records,
                     interrupts,
                 });
-                for (index, lane) in lanes.iter().enumerate() {
-                    probe.push(lane.sim.sample(cycles - 1, index as u32));
+                for (index, lane) in run.lanes.iter().enumerate() {
+                    probe.push(lane.array.sample(cycles - 1, index as u32));
                 }
             }
         }
 
-        for lane in lanes.iter_mut() {
+        for (lane, port) in run.lanes.iter_mut().zip(&mut ports) {
             // Polling arbiter: one byte per lane per cycle into its FIFO.
-            if !lane.input_fifo.is_full() && lane.fetch_pos < fetch_limit {
-                lane.input_fifo
-                    .push((lane.fetch_pos, input[lane.fetch_pos]))
+            if !port.input_fifo.is_full() && port.fetch_pos < fetch_limit {
+                port.input_fifo
+                    .push((port.fetch_pos, input[port.fetch_pos]))
                     .unwrap_or_else(|_| unreachable!("checked not full"));
-                lane.fetch_pos += 1;
+                port.fetch_pos += 1;
             }
             // Array cycle.
-            let pending_before = lane.pending.len();
-            if lane.sim.stalled() {
-                lane.sim.tick(
-                    &lane.automata,
-                    None,
-                    lane.consumed,
-                    &mut meter,
-                    &mut lane.pending,
-                );
-                lane.stalled_cycles += 1;
-            } else if let Some(&(offset, byte)) = lane.input_fifo.front() {
-                lane.input_fifo.pop();
-                lane.sim.tick(
-                    &lane.automata,
-                    Some(byte),
-                    offset,
-                    &mut meter,
-                    &mut lane.pending,
-                );
-                lane.consumed = offset + 1;
-            } else if lane.consumed < input.len() {
-                lane.starved_cycles += 1;
+            if lane.array.stalled() {
+                lane.tick(&port.automata, None, port.consumed, &mut port.pending);
+            } else if let Some(&(offset, byte)) = port.input_fifo.front() {
+                port.input_fifo.pop();
+                lane.tick(&port.automata, Some(byte), offset, &mut port.pending);
+                port.consumed = offset + 1;
+            } else if port.consumed < input.len() {
+                port.starved_cycles += 1;
             }
-            lane.produced += (lane.pending.len() - pending_before) as u64;
             // Reports: pending → array output FIFO (2-deep).
-            while let Some(&event) = lane.pending.first() {
-                match lane.output_fifo.push(event) {
+            while let Some(&event) = port.pending.first() {
+                match port.output_fifo.push(event) {
                     Ok(()) => {
-                        lane.pending.remove(0);
+                        port.pending.remove(0);
                     }
                     Err(_) => {
                         backpressure += 1;
@@ -207,8 +188,8 @@ pub fn simulate_streaming(
             }
         }
         // Bus: one report per lane per cycle into the bank output buffer.
-        for lane in lanes.iter_mut() {
-            if let Some(event) = lane.output_fifo.pop() {
+        for port in &mut ports {
+            if let Some(event) = port.output_fifo.pop() {
                 if bank_output.is_full() {
                     // Interrupt: the host drains the whole buffer (§3.3).
                     interrupts += 1;
@@ -219,24 +200,18 @@ pub fn simulate_streaming(
                 bank_output
                     .push(event)
                     .unwrap_or_else(|_| unreachable!("just drained"));
-                meter.charge(Category::Buffer, cost.buffer_pj);
+                bank_reports += 1;
             }
         }
-        // FIFO high-water marks, under the same occupancy definitions as
-        // the cycle-sampled probe above (but tracked every cycle).
-        let input_occupancy: u64 = lanes.iter().map(|l| l.input_fifo.len() as u64).sum();
-        let output_occupancy: u64 = lanes
-            .iter()
-            .map(|l| l.output_fifo.len() as u64)
-            .sum::<u64>()
-            + bank_output.len() as u64;
-        max_input_fifo_bytes = max_input_fifo_bytes.max(input_occupancy);
-        max_output_fifo_records = max_output_fifo_records.max(output_occupancy);
+        // FIFO high-water marks, tracked every cycle.
+        let (input_fifo_bytes, output_fifo_records) = occupancy(&ports, &bank_output);
+        max_input_fifo_bytes = max_input_fifo_bytes.max(input_fifo_bytes);
+        max_output_fifo_records = max_output_fifo_records.max(output_fifo_records);
     }
     // Final drain.
-    for lane in lanes.iter_mut() {
-        collected.append(&mut lane.pending);
-        while let Some(e) = lane.output_fifo.pop() {
+    for port in &mut ports {
+        collected.append(&mut port.pending);
+        while let Some(e) = port.output_fifo.pop() {
             collected.push(e);
         }
     }
@@ -248,60 +223,19 @@ pub fn simulate_streaming(
     // `$`-anchored patterns report only at the stream's end.
     collected.retain(|m| !compiled[m.pattern].anchored_end() || m.end == input.len());
 
-    // Leakage, as in the batch path.
-    let powered: u64 = lanes.iter().map(|l| l.sim.powered_tile_cycles()).sum();
-    meter.charge(
-        Category::Leakage,
-        cost.leakage_pj(mapping.arrays.len(), cycles, powered),
-    );
-
     let stats = BankStats {
-        stall_cycles: lanes.iter().map(|l| l.stalled_cycles).collect(),
-        starved_cycles: lanes.iter().map(|l| l.starved_cycles).collect(),
+        stall_cycles: (run.lanes.iter().zip(&ports))
+            .map(|(l, p)| l.cycles - p.consumed as u64)
+            .collect(),
+        starved_cycles: ports.iter().map(|p| p.starved_cycles).collect(),
         max_skew,
         output_interrupts: interrupts,
         output_backpressure: backpressure,
         max_input_fifo_bytes,
         max_output_fifo_records,
     };
-    let metrics = Metrics {
-        input_chars: input.len() as u64,
-        cycles,
-        clock_hz: cost.clock_hz,
-        energy_uj: meter.total_uj(),
-        area_mm2: cost.area_mm2(mapping),
-        matches: collected.len() as u64,
-    };
-    let result = RunResult {
-        machine,
-        metrics,
-        energy: meter,
-        matches: collected,
-        stall_cycles: stats.stall_cycles.iter().sum(),
-    };
-    if let Some(mut probe) = probe {
-        for (index, lane) in lanes.iter().enumerate() {
-            probe.push(ProbeEvent::ArrayEnd {
-                array: index as u32,
-                // A lane is busy for each consumed byte plus each stall
-                // cycle; starved cycles are idle waiting, not work.
-                cycles: lane.consumed as u64 + lane.stalled_cycles,
-                stall_cycles: lane.stalled_cycles,
-                powered_tile_cycles: lane.sim.powered_tile_cycles(),
-                matches: lane.produced,
-            });
-        }
-        probe.push(ProbeEvent::RunEnd {
-            input_bytes: input.len() as u64,
-            cycles,
-            stall_cycles: result.stall_cycles,
-            powered_tile_cycles: powered,
-            matches: result.metrics.matches,
-        });
-        probe.finish();
-    }
+    let result = run.finish(input.len() as u64, cycles, bank_reports, collected, 0);
     if let Some((tel, _)) = telemetry {
-        crate::record_run_metrics(tel, &result, powered);
         crate::record_bank_stats(tel, machine, &stats);
     }
     (result, stats)

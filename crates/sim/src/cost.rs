@@ -14,12 +14,23 @@
 //! CA trades a lower matching energy for a much larger tile (SRAM matching
 //! arrays plus full crossbars), which is exactly the energy-vs-area split
 //! Tables 2/3 report.
+//!
+//! This is the only place that knows a price. The arrays count their
+//! micro-operations in integer [`Activity`] counters;
+//! [`CostModel::energy`] prices a run's counters once, at its end.
 
+use crate::array::{Activity, GLOBAL_COLUMNS, TILE_COLUMNS};
+use rap_circuit::energy::Category;
 use rap_circuit::models::{
     ComponentModel, Machine, CAM_32X128, GLOBAL_CONTROLLER, GLOBAL_WIRE_MM, LOCAL_CONTROLLER,
     SRAM_128X128, SRAM_256X256,
 };
+use rap_circuit::EnergyMeter;
 use rap_mapper::Mapping;
+
+/// Wordline drive of one column-gated CAM search in an LNFA tile (pJ),
+/// paid whatever the number of candidate columns.
+const CAM_WORDLINE_PJ: f64 = 0.5;
 
 /// Aggregated per-machine costs used by the array simulators.
 #[derive(Clone, Copy, Debug)]
@@ -49,7 +60,8 @@ pub struct CostModel {
     pub wire_pj: f64,
     /// Ring-hop energy for LNFA global routing (pJ).
     pub ring_hop_pj: f64,
-    /// Input/output buffering energy per array per cycle (pJ).
+    /// Buffering energy (pJ) per input byte an array consumes and per
+    /// report entering the bank output buffer.
     pub buffer_pj: f64,
     /// Energy per bit-vector pipeline step per active tile (pJ): BV-word
     /// read + action routing + write-back.
@@ -136,6 +148,66 @@ impl CostModel {
         um2 * 1e-6
     }
 
+    /// The energy of a run whose `arrays` arrays counted `activity` in
+    /// all, ran `lane_cycles` cycles between them (stalls included),
+    /// consumed `bytes` input bytes between them and wrote `bank_reports`
+    /// match reports into the bank output buffer, over `cycles` of wall
+    /// clock, leakage included. A category appears iff at least one of
+    /// its micro-operations ran.
+    pub(crate) fn energy(
+        &self,
+        a: &Activity,
+        lane_cycles: u64,
+        bytes: u64,
+        bank_reports: u64,
+        arrays: usize,
+        cycles: u64,
+    ) -> EnergyMeter {
+        let n = |count: u64| count as f64;
+        let tiles = |model, accesses, activity| linear_pj(model, accesses, activity, TILE_COLUMNS);
+        let state_match = self.match_pj * n(a.fabric_tile_cycles)
+            + CAM_WORDLINE_PJ * n(a.cam_tile_cycles)
+            + self.match_pj * n(a.cam_candidates) / f64::from(TILE_COLUMNS)
+            + tiles(self.local_switch, a.switch_tile_cycles, a.switch_columns);
+        let local = tiles(
+            self.local_switch,
+            a.fabric_tile_cycles,
+            a.clamped_tile_states,
+        );
+        let global = linear_pj(
+            self.global_switch,
+            a.fabric_cycles,
+            a.clamped_cross_signals,
+            GLOBAL_COLUMNS,
+        );
+        let wire = self.wire_pj * n(a.cross_signals) + self.ring_hop_pj * n(a.ring_hops);
+        let ctrl =
+            self.global_ctrl_pj * n(lane_cycles) + self.local_ctrl_pj * n(a.powered_tile_cycles);
+        let bit_vector = self.bv_step_pj * n(a.bv_tile_cycles);
+        let buffered = bytes + bank_reports;
+        let searches = a.fabric_cycles + a.cam_tile_cycles + a.switch_tile_cycles;
+        // (category, its micro-operations that ran, their energy); every
+        // lane cycle that consumed no byte is a bit-vector-phase stall.
+        let charges = [
+            (Category::StateMatch, searches, state_match),
+            (Category::LocalSwitch, a.fabric_tile_cycles, local),
+            (Category::GlobalSwitch, a.fabric_cycles, global),
+            (Category::Wire, bytes, wire),
+            (Category::BitVector, lane_cycles - bytes, bit_vector),
+            (Category::Controller, lane_cycles, ctrl),
+            (Category::Buffer, buffered, self.buffer_pj * n(buffered)),
+        ];
+        let mut meter = EnergyMeter::new();
+        for (category, ops, pj) in charges {
+            if ops > 0 {
+                meter.charge(category, pj);
+            }
+        }
+        let leakage = self.leakage_pj(arrays, cycles, a.powered_tile_cycles);
+        meter.charge(Category::Leakage, leakage);
+        meter
+    }
+
     /// Static leakage of a run, in pJ, over `cycles` of wall clock.
     /// Power-gated tiles leak ~nothing, so tile leakage integrates over
     /// *powered* tile-cycles; the array overheads (global switch,
@@ -147,6 +219,13 @@ impl CostModel {
         let tile_leak_j = self.tile_leak_w * (powered_tile_cycles as f64 / self.clock_hz);
         (leak_w * runtime_s + tile_leak_j) * 1e12
     }
+}
+
+/// The summed [`ComponentModel::access_energy_pj`] of `accesses` accesses
+/// whose activities, in units of `1/columns`, sum to `activity`.
+fn linear_pj(model: ComponentModel, accesses: u64, activity: u64, columns: u32) -> f64 {
+    let span = model.energy_pj_max - model.energy_pj_min;
+    model.energy_pj_min * accesses as f64 + span * activity as f64 / f64::from(columns)
 }
 
 /// The fixed BVM area: the bit-vector SRAM, its pipeline registers, and
@@ -187,6 +266,40 @@ mod tests {
         // ...but its dedicated BVM pipeline step is cheaper than RAP's.
         let rap = CostModel::for_machine(Machine::Rap);
         assert!(bvap.bv_step_pj < rap.bv_step_pj);
+    }
+
+    #[test]
+    fn a_category_appears_iff_its_micro_operations_ran() {
+        let rap = CostModel::for_machine(Machine::Rap);
+        let categories = |meter: &EnergyMeter| meter.iter().map(|(c, _)| c).collect::<Vec<_>>();
+        let idle = rap.energy(&Activity::default(), 0, 0, 0, 1, 0);
+        assert_eq!(categories(&idle), [Category::Leakage]);
+        // One input cycle of a one-tile NFA array with nothing active: the
+        // fabric ran at zero activity and no bit-vector phase ran.
+        let activity = Activity {
+            fabric_cycles: 1,
+            fabric_tile_cycles: 1,
+            powered_tile_cycles: 1,
+            ..Activity::default()
+        };
+        let one = rap.energy(&activity, 1, 1, 0, 1, 1);
+        assert_eq!(
+            categories(&one),
+            [
+                Category::StateMatch,
+                Category::LocalSwitch,
+                Category::GlobalSwitch,
+                Category::Wire,
+                Category::Controller,
+                Category::Buffer,
+                Category::Leakage,
+            ]
+        );
+        assert_eq!(one.category_pj(Category::Wire), 0.0);
+        assert_eq!(
+            one.category_pj(Category::LocalSwitch),
+            rap.local_switch.energy_pj_min
+        );
     }
 
     #[test]

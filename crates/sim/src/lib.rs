@@ -1,10 +1,12 @@
 //! Cycle-accurate simulation of RAP and the baseline automata processors.
 //!
 //! The methodology follows §5.2 of the paper: a dataflow-driven cycle
-//! simulator executes the mapped automata against real input streams,
-//! charging every micro-operation (CAM search, switch traversal, bit-vector
-//! pipeline step, controller tick, wire toggle, leakage) to the circuit
-//! models of Table 1. The same simulator runs all four machines:
+//! simulator executes the mapped automata against real input streams.
+//! Each array counts its micro-operations (CAM search, switch traversal,
+//! bit-vector pipeline step, controller tick, wire toggle) in integer
+//! counters, and [`CostModel`] prices the counts, plus leakage, once per
+//! run against the circuit models of Table 1. The same simulator runs all
+//! four machines:
 //!
 //! * **RAP** — NFA, NBVA and LNFA tiles with reconfiguration (this paper),
 //! * **CAMA** — CAM-based state matching, NFA only (HPCA'22),
@@ -35,7 +37,7 @@ mod stream;
 
 pub use bank::{simulate_streaming, BankStats};
 pub use cost::CostModel;
-pub use reconfig::{extract_arrays, pick_quiescence, simulate_hot_swap, Extraction, HotSwapRun};
+pub use reconfig::{extract_arrays, simulate_hot_swap, Extraction, HotSwapRun};
 pub use replicate::{max_match_span, simulate_replicated, ReplicatedRun};
 pub use result::{MatchEvent, RunResult};
 pub use stream::StreamState;
@@ -304,25 +306,6 @@ impl Simulator {
         let mapping = self.map_verified(&compiled)?;
         Ok(self.simulate(&compiled, &mapping, input))
     }
-}
-
-/// Debug-build consistency check shared by the resumable
-/// ([`StreamState::new`]) and bank-model ([`bank::simulate_streaming`])
-/// entry points: both execute
-/// only mappings that passed the static verify gate, and debug builds
-/// re-verify at the door. The checked `run`/`run_patterns`/`map_verified`
-/// entry points enforce the gate in release builds too.
-pub(crate) fn debug_assert_verified(compiled: &[Compiled], mapping: &Mapping) {
-    #[cfg(debug_assertions)]
-    {
-        let report = rap_verify::verify(compiled, mapping, &mapping.config.arch);
-        debug_assert!(
-            report.is_legal(),
-            "illegal mapping reached the simulator:\n{report}"
-        );
-    }
-    #[cfg(not(debug_assertions))]
-    let _ = (compiled, mapping);
 }
 
 /// Simulates a mapped workload over an input stream on one machine: one

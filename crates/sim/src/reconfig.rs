@@ -12,16 +12,10 @@
 //! every rule the gate checks is per-array or per-pattern-coverage, and
 //! extraction keeps arrays intact while restricting the image set to the
 //! patterns those arrays place).
-//!
-//! The quiescence *window* — how long after the swap offset the retired
-//! arrays still hold live state — is observed from the drain segment's
-//! cycle count, and [`pick_quiescence`] recovers the same figure from
-//! the cycle-sampled telemetry probes when the caller prefers to
-//! schedule from the journal (the serve/bench layers do).
 
 use rap_compiler::Compiled;
 use rap_mapper::{ArrayKind, ArrayPlan, Mapping};
-use rap_telemetry::{ProbeEvent, RunTrace, Telemetry};
+use rap_telemetry::Telemetry;
 
 use crate::{Machine, MatchEvent, StreamState};
 
@@ -118,8 +112,7 @@ pub struct HotSwapRun {
 /// (stable) arrays scan the whole stream uninterrupted, and the `fresh`
 /// arrays of the post-swap plan attach at `swap_at`. When telemetry is
 /// attached, the three segments are traced under `label` with
-/// `-stable`/`-drain`/`-fresh` suffixes, so the cycle-sampled probes of
-/// the drain segment feed [`pick_quiescence`].
+/// `-stable`/`-drain`/`-fresh` suffixes.
 ///
 /// # Panics
 ///
@@ -191,29 +184,6 @@ pub fn simulate_hot_swap(
         quiesce_cycle,
         cycles: stable_cycles.max(quiesce_cycle),
     }
-}
-
-/// The quiescence scheduler's journal-side view: recovers the cycle at
-/// which every retired array went idle from the cycle-sampled probes of
-/// a hot swap's drain segment (the trace labeled `<label>-drain`).
-/// Returns `None` when no such trace (or no terminal event) exists —
-/// e.g. when the swap retired nothing or tracing was off.
-pub fn pick_quiescence(traces: &[RunTrace], label: &str) -> Option<u64> {
-    let want = format!("{label}-drain");
-    let mut quiesce: Option<u64> = None;
-    for trace in traces.iter().filter(|t| t.label == want) {
-        for event in &trace.events {
-            let cycle = match event {
-                ProbeEvent::ArrayEnd { cycles, .. } => Some(*cycles),
-                ProbeEvent::Array { cycle, .. } | ProbeEvent::Bank { cycle, .. } => Some(*cycle),
-                ProbeEvent::RunEnd { cycles, .. } => Some(*cycles),
-            };
-            if let Some(c) = cycle {
-                quiesce = Some(quiesce.map_or(c, |q| q.max(c)));
-            }
-        }
-    }
-    quiesce
 }
 
 #[cfg(test)]
@@ -306,32 +276,5 @@ mod tests {
         assert!(!run.fresh_matches.is_empty(), "beacon matches post-swap");
         assert!(run.fresh_matches.iter().all(|m| m.end > swap_at));
         assert!(run.quiesce_cycle >= swap_at as u64);
-    }
-
-    #[test]
-    fn quiescence_scheduler_reads_the_drain_trace() {
-        let telemetry = Telemetry::new(rap_telemetry::TelemetryConfig::default());
-        let (pre_images, pre_mapping, retired) = compose(plan(&["needle"]), plan(&["haystack"]));
-        let (post_images, post_mapping) = plan(&["needle"]);
-        let input = b"a needle in the haystack and another needle after it";
-        let run = simulate_hot_swap(
-            &pre_images,
-            &pre_mapping,
-            &retired,
-            &post_images,
-            &post_mapping,
-            &[],
-            input,
-            30,
-            Machine::Rap,
-            Some((&telemetry, "swap")),
-        );
-        let traces = telemetry.drain_traces();
-        let picked = pick_quiescence(&traces, "swap").expect("drain trace present");
-        // The journal-side schedule agrees with the simulator's figure:
-        // the drain trace's terminal event carries the segment's cycle
-        // count, which is exactly swap offset + observed drain.
-        assert_eq!(picked, run.quiesce_cycle);
-        assert!(picked >= 30);
     }
 }

@@ -14,8 +14,7 @@
 //! multiplies by the replica count.
 
 use crate::result::{MatchEvent, RunResult};
-use rap_circuit::Machine;
-use rap_circuit::Metrics;
+use rap_circuit::{EnergyMeter, Machine, Metrics};
 use rap_compiler::Compiled;
 use rap_mapper::Mapping;
 
@@ -41,7 +40,7 @@ pub fn max_match_span(compiled: &[Compiled]) -> Option<usize> {
         match c {
             Compiled::Nfa(img) => {
                 // A cycle in the automaton means unbounded matches.
-                if has_cycle(&img.nfa) {
+                if digraph_has_cycle(img.nfa.len(), |v| &img.nfa.states()[v].succ) {
                     return None;
                 }
                 span = span.max(img.nfa.len());
@@ -53,7 +52,7 @@ pub fn max_match_span(compiled: &[Compiled]) -> Option<usize> {
                     .iter()
                     .map(|s| u64::from(s.width().max(1)))
                     .sum();
-                if has_cycle_nbva(&img.nbva) {
+                if digraph_has_cycle(img.nbva.len(), |v| &img.nbva.states()[v].succ) {
                     return None;
                 }
                 span = span.max(total as usize);
@@ -68,7 +67,7 @@ pub fn max_match_span(compiled: &[Compiled]) -> Option<usize> {
 
 /// Iterative cycle detection (white/gray/black DFS) over a successor
 /// function.
-fn digraph_has_cycle(n: usize, succ: impl Fn(usize) -> Vec<u32>) -> bool {
+fn digraph_has_cycle<'a>(n: usize, succ: impl Fn(usize) -> &'a [u32]) -> bool {
     let mut color = vec![0u8; n]; // 0 white, 1 gray, 2 black
     let mut stack: Vec<(usize, usize)> = Vec::new();
     for start in 0..n {
@@ -99,14 +98,6 @@ fn digraph_has_cycle(n: usize, succ: impl Fn(usize) -> Vec<u32>) -> bool {
     false
 }
 
-fn has_cycle(nfa: &rap_automata::nfa::Nfa) -> bool {
-    digraph_has_cycle(nfa.len(), |v| nfa.states()[v].succ.clone())
-}
-
-fn has_cycle_nbva(nbva: &rap_automata::nbva::Nbva) -> bool {
-    digraph_has_cycle(nbva.len(), |v| nbva.states()[v].succ.clone())
-}
-
 /// Runs the workload, replicating the hardware until the modeled
 /// throughput reaches `target_gchps` (or `max_replicas` is hit, or the
 /// workload cannot be sharded because a pattern has unbounded span).
@@ -120,32 +111,24 @@ pub fn simulate_replicated(
 ) -> ReplicatedRun {
     let base = crate::simulate(compiled, mapping, input, machine);
     let base_thpt = base.metrics.throughput_gchps();
-    if base_thpt >= target_gchps || input.is_empty() {
-        return ReplicatedRun {
-            result: base,
-            replicas: 1,
-            overlap: 0,
-        };
-    }
+    let unreplicated = |result| ReplicatedRun {
+        result,
+        replicas: 1,
+        overlap: 0,
+    };
     // Anchored patterns are position-dependent: a shard boundary would
-    // forge a fake stream start/end, so they block sharding too.
-    if compiled
+    // forge a fake stream start/end, so they block sharding, and so do
+    // patterns of unbounded span.
+    let anchored = compiled
         .iter()
-        .any(|c| c.anchored_start() || c.anchored_end())
-    {
-        return ReplicatedRun {
-            result: base,
-            replicas: 1,
-            overlap: 0,
-        };
-    }
-    let Some(span) = max_match_span(compiled) else {
-        // Unbounded-span patterns cannot be sharded; ship the base run.
-        return ReplicatedRun {
-            result: base,
-            replicas: 1,
-            overlap: 0,
-        };
+        .any(|c| c.anchored_start() || c.anchored_end());
+    let span = if base_thpt >= target_gchps || input.is_empty() || anchored {
+        None
+    } else {
+        max_match_span(compiled)
+    };
+    let Some(span) = span else {
+        return unreplicated(base);
     };
     let overlap = span.saturating_sub(1);
     let mut replicas = ((target_gchps / base_thpt).ceil() as u32).clamp(2, max_replicas);
@@ -154,17 +137,13 @@ pub fn simulate_replicated(
     let max_useful = (input.len() / min_shard).max(1) as u32;
     replicas = replicas.min(max_useful).max(1);
     if replicas == 1 {
-        return ReplicatedRun {
-            result: base,
-            replicas: 1,
-            overlap: 0,
-        };
+        return unreplicated(base);
     }
 
     let shard_len = input.len().div_ceil(replicas as usize);
     let mut combined_matches: Vec<MatchEvent> = Vec::new();
     let mut max_cycles = 0u64;
-    let mut energy_uj = 0.0;
+    let mut energy = EnergyMeter::new();
     for r in 0..replicas as usize {
         let start = r * shard_len;
         if start >= input.len() {
@@ -175,7 +154,7 @@ pub fn simulate_replicated(
         let shard = &input[from..end];
         let run = crate::simulate(compiled, mapping, shard, machine);
         max_cycles = max_cycles.max(run.metrics.cycles);
-        energy_uj += run.metrics.energy_uj;
+        energy.merge(&run.energy);
         combined_matches.extend(run.matches.into_iter().filter_map(|m| {
             let global_end = from + m.end;
             // Matches ending inside the lookback belong to the previous
@@ -193,7 +172,7 @@ pub fn simulate_replicated(
         input_chars: input.len() as u64,
         cycles: max_cycles,
         clock_hz: base.metrics.clock_hz,
-        energy_uj,
+        energy_uj: energy.total_uj(),
         area_mm2: base.metrics.area_mm2 * f64::from(replicas),
         matches: combined_matches.len() as u64,
     };
@@ -201,7 +180,7 @@ pub fn simulate_replicated(
         result: RunResult {
             machine,
             metrics,
-            energy: base.energy, // breakdown of one replica (shape, not sum)
+            energy,
             matches: combined_matches,
             stall_cycles: base.stall_cycles,
         },
@@ -271,6 +250,11 @@ mod tests {
             base.metrics.throughput_gchps()
         );
         assert!(rep.result.metrics.area_mm2 > base.metrics.area_mm2);
+        assert_eq!(
+            rep.result.energy.total_uj(),
+            rep.result.metrics.energy_uj,
+            "the breakdown sums the shards"
+        );
     }
 
     #[test]

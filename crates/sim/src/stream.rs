@@ -2,33 +2,51 @@
 //!
 //! A [`StreamState`] owns everything a run accumulates: each array's run
 //! configuration (activation bitmaps, bit-vector columns, chain
-//! registers), per-array clocks and power counters, the energy meter and
-//! the stream offset. [`StreamState::step`] advances it over one chunk
-//! against the borrowed images and mapping; [`StreamState::finish`] ends
-//! the stream. Because the configuration persists, any chunking reports
-//! exactly the matches, cycles and stall cycles of one step over the whole
-//! stream (energy agrees up to floating-point summation order). A batch
-//! run ([`crate::simulate`]) is one step plus finish.
+//! registers), per-array clocks and activity counters, and the stream
+//! offset. [`StreamState::step`] advances it over one chunk against the
+//! borrowed images and mapping; [`StreamState::finish`] ends the stream.
+//! Because the configuration persists and energy is priced once from
+//! integer counters at the end, any chunking reports exactly the matches,
+//! cycles, stall cycles and energy of one step over the whole stream. A
+//! batch run ([`crate::simulate`]) is one step plus finish.
+//!
+//! [`Run`] is what this stepper and the bank model ([`crate::bank`])
+//! share: the arrays' lanes, the cost model and the optional trace, and
+//! the one finish that prices a run and reports it.
 
-use crate::array::{build_array, ArraySim, Automata};
+use crate::array::{build_array, Activity, ArraySim, Automata};
 use crate::cost::CostModel;
 use crate::result::{MatchEvent, RunResult};
-use rap_circuit::energy::Category;
-use rap_circuit::{EnergyMeter, Machine, Metrics};
+use rap_circuit::{Machine, Metrics};
 use rap_compiler::Compiled;
 use rap_mapper::Mapping;
 use rap_telemetry::{ProbeEvent, SimProbe, Telemetry};
 
 /// One array's machine plus its private clock.
-struct Lane {
-    array: Box<dyn ArraySim>,
-    /// Cycles run, stalls included.
-    cycles: u64,
+pub(crate) struct Lane {
+    pub(crate) array: Box<dyn ArraySim>,
+    /// Busy cycles: one per consumed byte plus one per stall cycle.
+    pub(crate) cycles: u64,
     /// Match reports produced (before deduplication).
-    produced: u64,
+    pub(crate) produced: u64,
 }
 
 impl Lane {
+    /// Advances the array one cycle (see [`ArraySim::tick`]), appending
+    /// its matches to `out`.
+    pub(crate) fn tick(
+        &mut self,
+        automata: &Automata<'_>,
+        byte: Option<u8>,
+        offset: usize,
+        out: &mut Vec<MatchEvent>,
+    ) {
+        let before = out.len();
+        self.array.tick(automata, byte, offset, out);
+        self.cycles += 1;
+        self.produced += (out.len() - before) as u64;
+    }
+
     /// Runs the array over `chunk`, whose first byte sits at global
     /// `offset`, running each bit-vector phase out before the next byte.
     /// A probe (`(probe, array index)`) samples the array every
@@ -38,11 +56,9 @@ impl Lane {
         automata: &Automata<'_>,
         chunk: &[u8],
         offset: usize,
-        meter: &mut EnergyMeter,
         out: &mut Vec<MatchEvent>,
         mut probe: Option<(&mut SimProbe, u32)>,
     ) {
-        let before = out.len();
         for (i, &byte) in chunk.iter().enumerate() {
             let mut byte = Some(byte);
             loop {
@@ -51,15 +67,123 @@ impl Lane {
                         probe.push(self.array.sample(self.cycles, *index));
                     }
                 }
-                self.array
-                    .tick(automata, byte.take(), offset + i, meter, out);
-                self.cycles += 1;
+                self.tick(automata, byte.take(), offset + i, out);
                 if !self.array.stalled() {
                     break;
                 }
             }
         }
-        self.produced += (out.len() - before) as u64;
+    }
+}
+
+/// One run of a mapped workload on one machine, as the stepper and the
+/// bank model both hold it: a lane per array, the machine's cost model
+/// and an optional trace (`(telemetry, probe)`). Tracing only observes.
+pub(crate) struct Run<'t> {
+    cost: CostModel,
+    area_mm2: f64,
+    pub(crate) lanes: Vec<Lane>,
+    pub(crate) trace: Option<(&'t Telemetry, SimProbe)>,
+}
+
+impl<'t> Run<'t> {
+    /// The run of `mapping` on `machine` before any input byte, traced
+    /// under `label` if `trace` is `(telemetry, label)`. The mapping must
+    /// have passed the verify gate; debug builds assert this at the door.
+    pub(crate) fn new(
+        compiled: &[Compiled],
+        mapping: &Mapping,
+        machine: Machine,
+        trace: Option<(&'t Telemetry, &str)>,
+    ) -> Run<'t> {
+        // The checked `Simulator` entry points enforce the verify gate in
+        // release builds too.
+        if cfg!(debug_assertions) {
+            let report = rap_verify::verify(compiled, mapping, &mapping.config.arch);
+            assert!(
+                report.is_legal(),
+                "illegal mapping reached the simulator:\n{report}"
+            );
+        }
+        let cost = CostModel::for_machine(machine);
+        let lanes = mapping.arrays.iter().map(|plan| Lane {
+            array: build_array(plan, &Automata::of(compiled, plan), &cost),
+            cycles: 0,
+            produced: 0,
+        });
+        Run {
+            area_mm2: cost.area_mm2(mapping),
+            lanes: lanes.collect(),
+            cost,
+            trace: trace.map(|(tel, label)| (tel, tel.probe(label))),
+        }
+    }
+
+    /// Ends the run. Every lane has consumed all `input` bytes; the run
+    /// took `cycles` of wall clock and wrote `bank_reports` reports into
+    /// the bank output buffer. `matches` are those released at the end,
+    /// after `earlier` returned before it.
+    ///
+    /// Prices the lanes' summed activity (leakage included), then, when
+    /// traced, emits each array's `ArrayEnd` and the `RunEnd` probe event
+    /// and records the run's totals.
+    pub(crate) fn finish(
+        self,
+        input: u64,
+        cycles: u64,
+        bank_reports: u64,
+        matches: Vec<MatchEvent>,
+        earlier: u64,
+    ) -> RunResult {
+        let mut activity = Activity::default();
+        for lane in &self.lanes {
+            activity += *lane.array.activity();
+        }
+        let lane_cycles: u64 = self.lanes.iter().map(|l| l.cycles).sum();
+        let bytes = input * self.lanes.len() as u64;
+        let energy = self.cost.energy(
+            &activity,
+            lane_cycles,
+            bytes,
+            bank_reports,
+            self.lanes.len(),
+            cycles,
+        );
+        let result = RunResult {
+            machine: self.cost.machine,
+            metrics: Metrics {
+                input_chars: input,
+                cycles,
+                clock_hz: self.cost.clock_hz,
+                energy_uj: energy.total_uj(),
+                area_mm2: self.area_mm2,
+                matches: earlier + matches.len() as u64,
+            },
+            energy,
+            matches,
+            stall_cycles: lane_cycles - bytes,
+        };
+        if let Some((telemetry, mut probe)) = self.trace {
+            for (index, lane) in self.lanes.iter().enumerate() {
+                probe.push(ProbeEvent::ArrayEnd {
+                    array: index as u32,
+                    cycles: lane.cycles,
+                    stall_cycles: lane.cycles - input,
+                    powered_tile_cycles: lane.array.activity().powered_tile_cycles,
+                    matches: lane.produced,
+                });
+            }
+            probe.push(ProbeEvent::RunEnd {
+                input_bytes: input,
+                cycles,
+                stall_cycles: result.stall_cycles,
+                powered_tile_cycles: activity.powered_tile_cycles,
+                matches: result.metrics.matches,
+            });
+            probe.finish();
+            crate::record_run_metrics(telemetry, &result, activity.powered_tile_cycles);
+        }
+        result
     }
 }
 
@@ -70,10 +194,7 @@ impl Lane {
 /// cycle-sampled probe events and, at finish, records the run totals.
 /// Tracing only observes.
 pub struct StreamState<'t> {
-    cost: CostModel,
-    area_mm2: f64,
-    lanes: Vec<Lane>,
-    meter: EnergyMeter,
+    run: Run<'t>,
     /// Bytes consumed so far.
     offset: usize,
     /// `$`-anchored matches ending at `offset`, valid only if the stream
@@ -81,7 +202,6 @@ pub struct StreamState<'t> {
     held: Vec<MatchEvent>,
     /// Matches returned so far.
     emitted: u64,
-    trace: Option<(&'t Telemetry, SimProbe)>,
 }
 
 impl<'t> StreamState<'t> {
@@ -95,22 +215,11 @@ impl<'t> StreamState<'t> {
         machine: Machine,
         trace: Option<(&'t Telemetry, &str)>,
     ) -> StreamState<'t> {
-        crate::debug_assert_verified(compiled, mapping);
-        let cost = CostModel::for_machine(machine);
-        let lanes = mapping.arrays.iter().map(|plan| Lane {
-            array: build_array(compiled, plan, &cost),
-            cycles: 0,
-            produced: 0,
-        });
         StreamState {
-            area_mm2: cost.area_mm2(mapping),
-            lanes: lanes.collect(),
-            cost,
-            meter: EnergyMeter::new(),
+            run: Run::new(compiled, mapping, machine, trace),
             offset: 0,
             held: Vec::new(),
             emitted: 0,
-            trace: trace.map(|(tel, label)| (tel, tel.probe(label))),
         }
     }
 
@@ -121,7 +230,8 @@ impl<'t> StreamState<'t> {
     /// buffering of §3.3 decouples the arrays, so the bank finishes with
     /// its slowest array. A phase runs out right after the byte that
     /// triggers it, as the hardware does, so no stall is left pending
-    /// between steps. Energy is charged array by array, byte by byte.
+    /// between steps. Each array counts its micro-operations as it goes;
+    /// [`StreamState::finish`] prices them.
     ///
     /// Returns the matches ending in the chunk, with global offsets,
     /// sorted by `(end, pattern)` and deduplicated (a pattern split into
@@ -135,11 +245,11 @@ impl<'t> StreamState<'t> {
         chunk: &[u8],
     ) -> Vec<MatchEvent> {
         let mut events = Vec::new();
-        for (index, (lane, plan)) in self.lanes.iter_mut().zip(&mapping.arrays).enumerate() {
-            let probe = self.trace.as_mut().map(|(_, p)| (p, index as u32));
+        let run = &mut self.run;
+        for (index, (lane, plan)) in run.lanes.iter_mut().zip(&mapping.arrays).enumerate() {
+            let probe = run.trace.as_mut().map(|(_, p)| (p, index as u32));
             let automata = Automata::of(compiled, plan);
-            let (meter, offset) = (&mut self.meter, self.offset);
-            lane.run(&automata, chunk, offset, meter, &mut events, probe);
+            lane.run(&automata, chunk, self.offset, &mut events, probe);
         }
         self.offset += chunk.len();
         events.sort_unstable_by_key(|m| (m.end, m.pattern));
@@ -160,54 +270,19 @@ impl<'t> StreamState<'t> {
     }
 
     /// Ends the stream: releases the held `$`-anchored matches (the last
-    /// step ended at the true end of stream), charges static leakage and
-    /// returns the run's totals. `matches` holds only the released
-    /// matches; `metrics.matches` counts every match the stream returned.
+    /// step ended at the true end of stream), prices the run and returns
+    /// its totals. `matches` holds only the released matches;
+    /// `metrics.matches` counts every match the stream returned.
     pub fn finish(mut self) -> RunResult {
         let input = self.offset as u64;
-        let cycles = self.lanes.iter().map(|l| l.cycles).fold(input, u64::max);
-        let stall_cycles = self.lanes.iter().map(|l| l.cycles - input).sum();
-        let powered = self.lanes.iter().map(|l| l.array.powered_tile_cycles());
-        let powered: u64 = powered.sum();
-        let leakage = self.cost.leakage_pj(self.lanes.len(), cycles, powered);
-        self.meter.charge(Category::Leakage, leakage);
+        let cycles = self
+            .run
+            .lanes
+            .iter()
+            .map(|l| l.cycles)
+            .fold(input, u64::max);
         let matches = std::mem::take(&mut self.held);
-        self.emitted += matches.len() as u64;
-        let result = RunResult {
-            machine: self.cost.machine,
-            metrics: Metrics {
-                input_chars: input,
-                cycles,
-                clock_hz: self.cost.clock_hz,
-                energy_uj: self.meter.total_uj(),
-                area_mm2: self.area_mm2,
-                matches: self.emitted,
-            },
-            energy: self.meter,
-            matches,
-            stall_cycles,
-        };
-        if let Some((telemetry, mut probe)) = self.trace {
-            for (index, lane) in self.lanes.iter().enumerate() {
-                probe.push(ProbeEvent::ArrayEnd {
-                    array: index as u32,
-                    cycles: lane.cycles,
-                    stall_cycles: lane.cycles - input,
-                    powered_tile_cycles: lane.array.powered_tile_cycles(),
-                    matches: lane.produced,
-                });
-            }
-            probe.push(ProbeEvent::RunEnd {
-                input_bytes: input,
-                cycles,
-                stall_cycles,
-                powered_tile_cycles: powered,
-                matches: result.metrics.matches,
-            });
-            probe.finish();
-            crate::record_run_metrics(telemetry, &result, powered);
-        }
-        result
+        self.run.finish(input, cycles, 0, matches, self.emitted)
     }
 
     /// A batch run: one step over `input`, then finish. The result holds

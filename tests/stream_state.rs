@@ -6,8 +6,8 @@
 //! patterns), a random input and a random chunking (empty chunks
 //! included). The concatenated step events must be exactly the batch
 //! run's matches except the `$`-anchored ones, which `finish` releases
-//! at the true end of stream; cycles and stall cycles must be exact and
-//! energy equal within 1e-9 relative (only its summation order differs).
+//! at the true end of stream; cycles, stall cycles and energy must be
+//! exact (energy is priced once, at finish, from integer counters).
 //!
 //! Unit checks pin `$` deferral, the tracing probe, and the bank model's
 //! buffer geometry (the reference the service is compared against).
@@ -113,14 +113,8 @@ proptest! {
             prop_assert_eq!(fin.metrics.matches, batch.metrics.matches, "{}", machine);
             prop_assert_eq!(fin.metrics.cycles, batch.metrics.cycles, "{}: cycles", machine);
             prop_assert_eq!(fin.stall_cycles, batch.stall_cycles, "{}: stalls", machine);
-            let (got, want) = (fin.metrics.energy_uj, batch.metrics.energy_uj);
-            prop_assert!(
-                (got - want).abs() <= 1e-9 * want.abs(),
-                "{}: energy {} vs batch {}",
-                machine,
-                got,
-                want
-            );
+            prop_assert_eq!(&fin.energy, &batch.energy, "{}: energy breakdown", machine);
+            prop_assert_eq!(fin.metrics.energy_uj, batch.metrics.energy_uj, "{}: energy", machine);
         }
     }
 }
