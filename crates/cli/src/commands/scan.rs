@@ -94,8 +94,10 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 mod tests {
     use super::*;
 
-    fn setup() -> (String, String) {
-        let dir = std::env::temp_dir().join("rap-cli-scan");
+    /// Writes the fixture into a directory of its own per test: tests run
+    /// in parallel, and a shared file could be read mid-rewrite (empty).
+    fn setup(test: &str) -> (String, String) {
+        let dir = std::env::temp_dir().join(format!("rap-cli-scan-{test}"));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let p = dir.join("p.txt");
         std::fs::write(&p, "needle\nb{6,20}c\n").expect("write");
@@ -116,7 +118,7 @@ mod tests {
 
     #[test]
     fn scans_and_reports() {
-        let (p, i) = setup();
+        let (p, i) = setup("scans_and_reports");
         let s = run_ok(&[&p, &i]);
         assert!(s.contains("matches: 3"), "{s}");
         assert!(s.contains("machine: RAP"), "{s}");
@@ -125,7 +127,7 @@ mod tests {
 
     #[test]
     fn machine_flag() {
-        let (p, i) = setup();
+        let (p, i) = setup("machine_flag");
         let s = run_ok(&[&p, &i, "--machine", "ca"]);
         assert!(s.contains("machine: CA"), "{s}");
         // Same match set regardless of machine.
@@ -134,14 +136,14 @@ mod tests {
 
     #[test]
     fn limit_truncates() {
-        let (p, i) = setup();
+        let (p, i) = setup("limit_truncates");
         let s = run_ok(&[&p, &i, "--limit", "1"]);
         assert!(s.contains("and 2 more"), "{s}");
     }
 
     #[test]
     fn missing_input_is_runtime_error() {
-        let (p, _) = setup();
+        let (p, _) = setup("missing_input_is_runtime_error");
         let argv = vec![p, "/nonexistent/input".to_string()];
         let mut out = Vec::new();
         assert!(matches!(run(&argv, &mut out), Err(CliError::Runtime(_))));

@@ -1,4 +1,4 @@
-//! Service configuration and the `RAP_SERVE_*` environment knobs.
+//! Service configuration.
 
 use rap_circuit::Machine;
 
@@ -28,24 +28,4 @@ impl Default for ServeConfig {
             machine: Machine::Rap,
         }
     }
-}
-
-impl ServeConfig {
-    /// Reads `RAP_SERVE_SHARDS` and `RAP_SERVE_QUEUE_PAGES` over the
-    /// defaults. Unset or unparsable values keep the default.
-    pub fn from_env() -> ServeConfig {
-        let defaults = ServeConfig::default();
-        ServeConfig {
-            shards: env_num("RAP_SERVE_SHARDS", defaults.shards as u64).max(1) as usize,
-            queue_pages: env_num("RAP_SERVE_QUEUE_PAGES", defaults.queue_pages).max(1),
-            machine: defaults.machine,
-        }
-    }
-}
-
-fn env_num(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }

@@ -64,38 +64,39 @@ fn chunked_sessions_match_solo_streaming_runs() {
             b"ggattacagattttacaccc".repeat(13),
         ),
     ];
-    let sessions: Vec<_> = tenants
-        .iter()
-        .map(|(name, set, _)| server.register(name, set).expect("admits"))
-        .collect();
+    let mut sessions = Vec::with_capacity(tenants.len());
+    for (name, set, _) in &tenants {
+        sessions.push(server.register(name, set).expect("admits"));
+        assert_eq!(
+            server.metrics().sessions_admitted.get(),
+            sessions.len() as u64,
+            "the admitted counter moves in step with registrations"
+        );
+    }
     // Both shards must be exercised.
     let shards: std::collections::BTreeSet<usize> = sessions.iter().map(|s| s.shard()).collect();
     assert_eq!(shards.len(), 2, "tenants should spread across shards");
-    // Interleave chunk delivery round-robin with uneven chunk sizes.
-    let mut cursors = vec![0usize; tenants.len()];
+    // Every tenant streams concurrently from its own thread, with uneven
+    // chunk sizes offset per tenant, retrying a shed chunk once its
+    // shard drains.
     let sizes = [7usize, 31, 3, 64, 13];
-    let mut round = 0usize;
-    loop {
-        let mut progressed = false;
-        for (i, (_, _, input)) in tenants.iter().enumerate() {
-            let at = cursors[i];
-            if at >= input.len() {
-                continue;
-            }
-            let len = sizes[(round + i) % sizes.len()].min(input.len() - at);
-            let mut outcome = sessions[i].send(&input[at..at + len]).expect("open");
-            while outcome == SendOutcome::Shed {
-                sessions[i].wait_idle();
-                outcome = sessions[i].send(&input[at..at + len]).expect("open");
-            }
-            cursors[i] = at + len;
-            progressed = true;
+    std::thread::scope(|scope| {
+        for (i, (session, (_, _, input))) in sessions.iter().zip(&tenants).enumerate() {
+            scope.spawn(move || {
+                let mut at = 0usize;
+                let mut round = 0usize;
+                while at < input.len() {
+                    let len = sizes[(round + i) % sizes.len()].min(input.len() - at);
+                    let piece = &input[at..at + len];
+                    while session.send(piece).expect("open") == SendOutcome::Shed {
+                        session.wait_idle();
+                    }
+                    at += len;
+                    round += 1;
+                }
+            });
         }
-        round += 1;
-        if !progressed {
-            break;
-        }
-    }
+    });
     for (i, (_, set, input)) in tenants.iter().enumerate() {
         sessions[i].finish();
         let mut delivered = sessions[i].drain();
