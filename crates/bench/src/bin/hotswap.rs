@@ -110,7 +110,8 @@ fn drained_sorted(session: &Session) -> Vec<MatchEvent> {
     events
 }
 
-/// Streams every staying session's next chunk and waits for the scans.
+/// Streams every staying session's next chunk; each `send` returns with
+/// its chunk scanned.
 fn feed_round(sessions: &[Session], loads: &[TenantLoad], round: usize, chunk: usize) {
     for (session, load) in sessions.iter().zip(loads) {
         let at = (round * chunk).min(load.input.len());
@@ -118,9 +119,6 @@ fn feed_round(sessions: &[Session], loads: &[TenantLoad], round: usize, chunk: u
         if at < end {
             session.send(&load.input[at..end]).expect("session open");
         }
-    }
-    for session in sessions {
-        session.wait_idle();
     }
 }
 

@@ -35,7 +35,7 @@ FLAGS:
     --patterns N      patterns per tenant suite    (default 8)
     --input N         corpus input bytes per tenant (default 2048)
     --seed S          RNG seed                     (default 42)
-    --shards N        scan-plane shards            (default 2)
+    --shards N        certified compositions       (default 2)
     --queue-pages N   per-session queue budget, in ping-pong pages
                       (default 8)
     --chunk N         stream chunk size in bytes   (default 256)
@@ -95,8 +95,8 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .collect::<Result<_, _>>()?;
 
     // Interleave chunk delivery round-robin across the tenants, the way
-    // concurrent streams share the fabric; shed chunks retry after the
-    // shard drains.
+    // concurrent streams share the fabric. A shed chunk alone exceeds the
+    // certified intake budget, so it is halved until it fits.
     let mut cursors = vec![0usize; sessions.len()];
     loop {
         let mut progressed = false;
@@ -115,18 +115,13 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 if outcome != SendOutcome::Shed {
                     break;
                 }
-                session.wait_idle();
-                if session.pending_bytes() == 0 {
-                    // An idle session still sheds: the chunk itself exceeds
-                    // the certified intake budget. Split it.
-                    if len == 1 {
-                        return Err(CliError::Runtime(format!(
-                            "tenant {} cannot fit a single byte in its budget",
-                            suites[i].name()
-                        )));
-                    }
-                    len = len.div_ceil(2);
+                if len == 1 {
+                    return Err(CliError::Runtime(format!(
+                        "tenant {} cannot fit a single byte in its budget",
+                        suites[i].name()
+                    )));
                 }
+                len = len.div_ceil(2);
             }
             cursors[i] = at + len;
             progressed = true;

@@ -9,14 +9,15 @@
 //! non-linearizable patterns interpreted on the full stream.
 
 use crate::interp::PrefilteredNfa;
-use crate::shift_and::ShiftAndEngine;
+use crate::shift_and::PackedChains;
 use crate::{normalize, Engine, Hit};
 use rap_regex::Regex;
 
 /// Batch (chunked, parallel) Shift-And engine.
 #[derive(Clone, Debug)]
 pub struct BatchEngine {
-    inner: ShiftAndEngine,
+    /// The linearizable patterns, scanned chunk-parallel.
+    packed: PackedChains,
     /// Fallback patterns re-sharded into per-worker engines (HybridSA
     /// distributes regex groups over thread blocks the same way); each
     /// entry holds the shard plus the original pattern indices.
@@ -34,8 +35,7 @@ impl BatchEngine {
     pub fn new(patterns: &[Regex], chunk_size: usize) -> BatchEngine {
         assert!(chunk_size > 0, "chunk size must be positive");
         let threads = std::thread::available_parallelism().map_or(4, usize::from);
-        let inner = ShiftAndEngine::new(patterns);
-        let (_, _, fallback_idx) = inner.parts();
+        let (packed, fallback_idx) = PackedChains::build(patterns);
         let shard_count = threads.clamp(1, fallback_idx.len().max(1));
         let mut fallback_shards = Vec::with_capacity(shard_count);
         for s in 0..shard_count {
@@ -52,7 +52,7 @@ impl BatchEngine {
             fallback_shards.push((PrefilteredNfa::new(&shard_patterns), idx));
         }
         BatchEngine {
-            inner,
+            packed,
             fallback_shards,
             chunk_size,
             threads,
@@ -71,7 +71,7 @@ impl Engine for BatchEngine {
     }
 
     fn scan(&self, input: &[u8]) -> Vec<Hit> {
-        let (packed, _, _) = self.inner.parts();
+        let packed = &self.packed;
         let lookback = packed.max_chain_len.saturating_sub(1);
         let chunks: Vec<(usize, usize)> = (0..input.len())
             .step_by(self.chunk_size)

@@ -213,71 +213,6 @@ impl PrefilteredNfa {
         }
     }
 
-    /// Scans while collecting work counters: `(hits, automaton steps,
-    /// prefilter arms fired)`. Used by benchmarks and diagnostics to
-    /// verify the prefilter keeps the automata cold.
-    pub fn scan_with_stats(&self, input: &[u8]) -> (Vec<Hit>, u64, u64) {
-        let mut steps = 0u64;
-        let mut armed = 0u64;
-        let mut hits = Vec::new();
-        let mut runs: Vec<_> = self.nbvas.iter().map(Nbva::start).collect();
-        let mut live: Vec<u32> = Vec::new();
-        let mut is_live = vec![false; self.nbvas.len()];
-        let mut ac_state = self.ac.as_ref().map(|ac| ac.start());
-        for (offset, &byte) in input.iter().enumerate() {
-            for &p in &self.triggers[byte as usize] {
-                if !is_live[p as usize] {
-                    is_live[p as usize] = true;
-                    live.push(p);
-                }
-            }
-            let mut k = 0;
-            while k < live.len() {
-                let p = live[k] as usize;
-                steps += 1;
-                let nbva = &self.nbvas[p];
-                let matched = if self.anchored[p] {
-                    runs[p].step_anchored(nbva, byte).matched
-                } else {
-                    runs[p].step(nbva, byte)
-                };
-                if matched {
-                    hits.push(Hit {
-                        pattern: p,
-                        end: offset + 1,
-                    });
-                }
-                if runs[p].active_count() == 0 {
-                    is_live[p] = false;
-                    live.swap_remove(k);
-                } else {
-                    k += 1;
-                }
-            }
-            if let (Some(ac), Some(state)) = (self.ac.as_ref(), ac_state.as_mut()) {
-                *state = ac.step(*state, byte);
-                for &lit in ac.outputs(*state) {
-                    for arm in &self.arms[lit as usize] {
-                        armed += 1;
-                        if arm.report {
-                            hits.push(Hit {
-                                pattern: arm.pattern as usize,
-                                end: offset + 1,
-                            });
-                        }
-                        let p = arm.pattern as usize;
-                        runs[p].activate_plain(arm.state);
-                        if !is_live[p] {
-                            is_live[p] = true;
-                            live.push(arm.pattern);
-                        }
-                    }
-                }
-            }
-        }
-        (normalize(hits), steps, armed)
-    }
-
     /// Number of patterns routed through the literal prefilter.
     pub fn prefiltered_count(&self) -> usize {
         let mut seen: Vec<u32> = self.arms.iter().flatten().map(|a| a.pattern).collect();

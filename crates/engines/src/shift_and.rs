@@ -162,10 +162,6 @@ impl ShiftAndEngine {
     pub fn fallback_count(&self) -> usize {
         self.fallback_idx.len()
     }
-
-    pub(crate) fn parts(&self) -> (&PackedChains, &PrefilteredNfa, &[usize]) {
-        (&self.packed, &self.fallback, &self.fallback_idx)
-    }
 }
 
 impl Engine for ShiftAndEngine {

@@ -10,8 +10,10 @@ use rap_circuit::Machine;
 /// modeled hardware rescales every threshold automatically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker shards. Each shard owns one certified composition and one
-    /// scan thread; registrations land on the least-loaded shard.
+    /// Admission groups. Each shard owns one certified composition of
+    /// its resident tenants; registrations land on the least-loaded
+    /// shard. A shard runs no thread: sessions scan on their callers'
+    /// threads.
     pub shards: usize,
     /// Multiplier applied to the certified per-composition queue
     /// quantities to size the per-session intake and event budgets.

@@ -4,9 +4,9 @@
 //! inspection: ping-pong bank input pages feed per-array FIFOs, and
 //! match reports ride output FIFOs back to the host over interrupts.
 //! This crate puts a service on top of the reproduction's modeled
-//! fabric: a sharded, thread-per-shard scan plane plus a software
-//! control plane that admits, schedules, and demultiplexes many
-//! concurrent tenant streams.
+//! fabric: a software control plane that admits, groups, and
+//! demultiplexes many concurrent tenant streams, each scanned on its
+//! producer's own thread.
 //!
 //! The design follows the software–hardware split end to end:
 //!
@@ -14,15 +14,18 @@
 //!   verify → bound → admit), warm-started from the pipeline's plan
 //!   cache — a pattern set the server has already planned performs
 //!   zero compile-stage work.
-//! - **Placement** lands each tenant on the least-loaded shard; the
-//!   shard's residents share one certified [`rap_admit::ComposedPlan`],
-//!   re-admitted on every join and leave.
-//! - **Streaming** steps each session's new bytes through the session's
-//!   own resumable simulator state (`rap_sim::StreamState`) over the
-//!   tenant's solo plan. Admission certifies that a tenant's matches in
-//!   the composition equal its solo run, so no tenant's scan ever touches
-//!   another tenant's arrays or traffic, and a session's state does not
-//!   grow with its stream.
+//! - **Placement** lands each tenant on the least-loaded shard. A shard
+//!   is an admission group, not a thread: its residents share one
+//!   certified [`rap_admit::ComposedPlan`], re-admitted on every join
+//!   and leave.
+//! - **Streaming** steps each chunk, inside [`Session::send`] on the
+//!   producer's thread, through the session's own resumable simulator
+//!   state (`rap_sim::StreamState`) over the tenant's solo plan, and
+//!   delivers its match events before `send` returns. Admission
+//!   certifies that a tenant's matches in the composition equal its solo
+//!   run, so no tenant's scan ever touches another tenant's arrays or
+//!   traffic, and a session's state does not grow with its stream. The
+//!   arrays of §3.3 scan independently in the same way.
 //! - **Backpressure** budgets come from certified quantities (the bank
 //!   ping-pong input window and `rap-bound`'s B002 worst-case output
 //!   occupancy), scaled by [`ServeConfig::queue_pages`] — not from
@@ -33,7 +36,8 @@
 //!
 //! Producers are either in-process ([`Server::register`] →
 //! [`Session`]) or remote over a framed `std::net` TCP protocol
-//! ([`Server::listen`] + [`Client`]); no async runtime is involved.
+//! ([`Server::listen`] + [`Client`], one thread per connection); no
+//! async runtime is involved.
 //!
 //! ```
 //! use rap_pipeline::{BenchConfig, PatternSet, Pipeline};

@@ -20,7 +20,7 @@ pub struct ServeMetrics {
     pub sessions_admitted: Counter,
     /// `rap_serve_sessions_total{verdict="rejected"}`.
     pub sessions_rejected: Counter,
-    /// `rap_serve_bytes_scanned_total`: bytes the scan plane consumed.
+    /// `rap_serve_bytes_scanned_total`: bytes stepped through sessions.
     pub bytes_scanned: Counter,
     /// `rap_serve_matches_delivered_total`: match events handed to
     /// tenants.
@@ -28,11 +28,12 @@ pub struct ServeMetrics {
     /// `rap_serve_backpressure_events_total`: times a producer was told
     /// to slow down (budget half-crossings and sheds both count).
     pub backpressure_events: Counter,
-    /// `rap_serve_chunks_scanned_total`: scan batches executed.
+    /// `rap_serve_chunks_scanned_total`: steps executed (one per
+    /// accepted chunk, plus each session's final step).
     pub chunks_scanned: Counter,
     /// `rap_serve_chunks_shed_total`: chunks rejected over budget.
     pub chunks_shed: Counter,
-    /// `rap_serve_chunk_scan_ns`: per-batch scan latency histogram.
+    /// `rap_serve_chunk_scan_ns`: per-step scan latency histogram.
     pub scan_ns: Histogram,
     /// `rap_serve_register_ns`: registration (admission) latency.
     pub register_ns: Histogram,

@@ -9,9 +9,10 @@
 //! (12-byte records: u32 pattern, u64 global end offset), and `BYE`
 //! after the final `EVENTS`.
 //!
-//! Chunk handling is synchronous: the server scans to idle before
-//! acknowledging, so one connection observes the same semantics as a
-//! solo in-process [`Session`].
+//! Chunk handling is synchronous: the connection's thread scans the
+//! chunk inside [`Session::send`] before acknowledging, so one
+//! connection observes the same semantics as a solo in-process
+//! [`Session`].
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -157,7 +158,6 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 let Ok(outcome) = s.send(&payload) else {
                     break;
                 };
-                s.wait_idle();
                 let events = s.drain();
                 if write_frame(&mut stream, OP_ACK, &[status_byte(outcome)]).is_err()
                     || write_frame(&mut stream, OP_EVENTS, &encode_events(&events)).is_err()
@@ -220,7 +220,8 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
             _ => break,
         }
     }
-    // Dropping the session (if any) enqueues the graceful drain.
+    // Dropping the session (if any) runs its graceful drain here, on the
+    // connection's thread.
     drop(session);
 }
 
@@ -243,7 +244,8 @@ pub(crate) fn spawn_acceptor(
                         let shared = Arc::clone(&shared);
                         // Detached: a handler blocked in read_frame on a
                         // still-open idle client must not wedge shutdown.
-                        // Its session (if any) drains via the Drop path.
+                        // Its session (if any) drains when the handler
+                        // returns.
                         std::thread::spawn(move || {
                             handle_connection(&shared, stream);
                         });

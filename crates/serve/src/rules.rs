@@ -19,12 +19,12 @@ pub enum Rule {
     /// R002: a session crossed half of a certified queue budget; the
     /// producer was told to slow down before anything was lost.
     SessionBackpressure,
-    /// R003: a chunk was rejected because accepting it would exceed the
-    /// session's certified intake budget. The chunk was not queued; no
-    /// partial scan happened.
+    /// R003: a chunk was rejected because it alone exceeds the session's
+    /// certified intake budget. Nothing of it was scanned.
     ChunkShed,
-    /// R004: a session disconnected, its queue was drained to the last
-    /// accepted byte, and its arrays were released by recomposition.
+    /// R004: a session finished or disconnected, its final step ran
+    /// over the last accepted byte, and its arrays were released by
+    /// recomposition before `finish` (or the handle's drop) returned.
     SessionDrained,
     /// R005: a resident tenant was hot-swapped — the outgoing session
     /// drained under its certified Q-rule drain bound and the

@@ -1,22 +1,22 @@
 //! The sharded scan service: registration through the pipeline's admit
-//! stage, thread-per-shard scan workers, and certified backpressure.
+//! stage, admission groups, and certified backpressure.
 //!
-//! Each shard owns one certified [`ComposedPlan`] covering its resident
-//! tenants. Registration re-runs admission over the residents plus the
-//! newcomer (warm-started from the pipeline's plan cache, so a pattern
-//! set the server has already planned performs zero compile-stage
-//! work); a refusal leaves the previous composition untouched. The
+//! A shard is an admission group: it owns one certified [`ComposedPlan`]
+//! covering its resident tenants, and no thread. Registration re-runs
+//! admission over the residents plus the newcomer (warm-started from the
+//! pipeline's plan cache, so a pattern set the server has already
+//! planned performs zero compile-stage work); a refusal leaves the
+//! previous composition untouched. The
 //! composition fixes the shard's budgets and is what hot-swap analysis
 //! edits; it is never re-simulated. Admission certifies that each
-//! tenant's matches equal its solo run, so a scan job steps only the
-//! session's new bytes through the session's own
-//! [`rap_sim::StreamState`] over the tenant's solo plan.
+//! tenant's matches equal its solo run, so [`Session::send`] steps only
+//! the chunk through the session's own [`rap_sim::StreamState`] over the
+//! tenant's solo plan, on the caller's thread.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -30,7 +30,7 @@ use rap_telemetry::Telemetry;
 use crate::config::ServeConfig;
 use crate::metrics::ServeMetrics;
 use crate::rules::{Report, Rule, FINDINGS_RETAINED};
-use crate::session::{Session, SessionInner};
+use crate::session::Session;
 
 /// A service failure surfaced to the caller.
 #[derive(Debug)]
@@ -102,32 +102,17 @@ pub(crate) struct Residency {
     pub tenancy: Option<Arc<Tenancy>>,
 }
 
-/// Work items for a shard's scan thread.
-pub(crate) enum Job {
-    /// Step a session's pending bytes (a no-op if an earlier job took
-    /// them).
-    Scan(Arc<SessionInner>),
-    /// Final scan and end of stream, then release the tenant's slot and
-    /// recompose.
-    Finish(Arc<SessionInner>),
-    /// Exit the worker loop.
-    Shutdown,
-}
-
-/// One shard: a job queue plus the residency it scans for.
-pub(crate) struct ShardInner {
+/// One shard: an admission group of tenants sharing one certified
+/// composition.
+pub(crate) struct Shard {
     pub id: usize,
-    queue: Mutex<VecDeque<Job>>,
-    ready: Condvar,
     pub residency: Mutex<Residency>,
 }
 
-impl ShardInner {
-    fn new(id: usize) -> ShardInner {
-        ShardInner {
+impl Shard {
+    fn new(id: usize) -> Shard {
+        Shard {
             id,
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
             residency: Mutex::new(Residency {
                 tenants: Vec::new(),
                 tenancy: None,
@@ -135,26 +120,7 @@ impl ShardInner {
         }
     }
 
-    pub fn enqueue(&self, job: Job) {
-        self.queue
-            .lock()
-            .expect("shard queue poisoned")
-            .push_back(job);
-        self.ready.notify_one();
-    }
-
-    fn next_job(&self) -> Job {
-        let mut queue = self.queue.lock().expect("shard queue poisoned");
-        loop {
-            if let Some(job) = queue.pop_front() {
-                return job;
-            }
-            queue = self.ready.wait(queue).expect("shard queue poisoned");
-        }
-    }
-
-    /// Snapshot of the current certified tenancy (momentary lock; never
-    /// held together with a session lock).
+    /// Snapshot of the current certified tenancy (momentary lock).
     pub fn tenancy(&self) -> Option<Arc<Tenancy>> {
         self.residency
             .lock()
@@ -164,7 +130,7 @@ impl ShardInner {
     }
 }
 
-/// State shared between the server handle, sessions, and workers.
+/// State shared between the server handle and its sessions.
 pub(crate) struct Shared {
     pub pipeline: Arc<Pipeline>,
     pub config: ServeConfig,
@@ -172,9 +138,8 @@ pub(crate) struct Shared {
     pub metrics: ServeMetrics,
     /// The newest [`FINDINGS_RETAINED`] findings.
     pub findings: Mutex<Report>,
-    pub shards: Vec<Arc<ShardInner>>,
+    pub shards: Vec<Arc<Shard>>,
     pub active: AtomicU64,
-    pub stopping: AtomicBool,
     /// Serializes registrations so duplicate-name checks and shard
     /// selection never need to hold two residency locks at once.
     registration: Mutex<()>,
@@ -197,7 +162,7 @@ impl Shared {
     /// The least-loaded shard by resident tenant count, ties broken
     /// deterministically toward the lowest shard id (so identical
     /// registration sequences always produce identical placements).
-    fn shard_for_new_session(&self) -> Arc<ShardInner> {
+    fn shard_for_new_session(&self) -> Arc<Shard> {
         Arc::clone(
             self.shards
                 .iter()
@@ -318,7 +283,7 @@ impl Shared {
         self: &Arc<Shared>,
         name: &str,
         patterns: &PatternSet,
-        shard: &Arc<ShardInner>,
+        shard: &Arc<Shard>,
         start: Instant,
     ) -> Result<Session, ServeError> {
         let resident_count = {
@@ -351,7 +316,7 @@ impl Shared {
             .pipeline
             .plan(&sim, patterns, None)
             .map_err(|e| ServeError::Pipeline(e.to_string()))?;
-        let inner = Arc::new(SessionInner::new(name, Arc::clone(shard), solo));
+        let session = Session::new(name, Arc::clone(shard), solo, Arc::clone(self));
         self.metrics.sessions_admitted.inc();
         let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
         self.metrics.sessions_active.set(active);
@@ -361,7 +326,7 @@ impl Shared {
         self.metrics
             .register_ns
             .record(start.elapsed().as_nanos() as u64);
-        Ok(Session::new(inner, Arc::clone(self)))
+        Ok(session)
     }
 
     /// Hot-swaps a resident tenant: statically certifies replacing the
@@ -389,7 +354,7 @@ impl Shared {
             self.metrics.swaps_rejected.inc();
             return Err(ServeError::DuplicateTenant(name.to_string()));
         }
-        let shard = Arc::clone(&outgoing.inner().shard);
+        let shard = Arc::clone(&outgoing.shard);
         let outgoing_name = outgoing.tenant().to_string();
         let Some(tenancy) = shard.tenancy() else {
             self.metrics.swaps_rejected.inc();
@@ -458,32 +423,63 @@ impl Shared {
         );
         Ok((session, Box::new(plan)))
     }
+
+    /// Releases a finished session's slot and recomposes the remainder.
+    /// The finishing session calls it before `finish` returns, so its
+    /// producer can immediately re-register the name.
+    pub(crate) fn release(&self, shard: &Shard, name: &str) {
+        let remaining = {
+            let mut residency = shard.residency.lock().expect("shard residency poisoned");
+            residency.tenants.retain(|t| t.name != name);
+            if let Err(error) = self.recompose(&mut residency) {
+                // Keep the departing composition (and its budgets); the
+                // departed tenant's arrays just idle.
+                self.finding(
+                    Rule::AdmissionRejected,
+                    format!(
+                        "recomposition after tenant {name:?} drained failed on shard {}: {error}",
+                        shard.id
+                    ),
+                );
+            }
+            residency.tenants.len()
+        };
+        let active = self.active.fetch_sub(1, Ordering::Relaxed) - 1;
+        self.metrics.sessions_active.set(active);
+        self.metrics.shard_sessions(shard.id).set(remaining as u64);
+        self.finding(
+            Rule::SessionDrained,
+            format!("tenant {name:?} drained gracefully from shard {}", shard.id),
+        );
+    }
 }
 
 /// The multi-tenant streaming scan service.
 ///
 /// In-process producers use [`Server::register`] and the returned
 /// [`Session`]; network producers use [`Server::listen`] and the framed
-/// protocol in the `net` module. Dropping the server shuts it down
-/// (sessions should be finished first).
+/// protocol in the `net` module. Each session scans on the thread that
+/// calls it; the only threads the server spawns are the TCP acceptor and
+/// one per connection. Dropping the server stops the acceptor; sessions
+/// it handed out keep working until they finish.
 pub struct Server {
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
     stop_accepting: Arc<AtomicBool>,
     addr: Option<SocketAddr>,
 }
 
 impl Server {
-    /// Spawns the shard workers over `pipeline`. The pipeline's attached
+    /// Builds the service over `pipeline` with `config.shards` empty
+    /// admission groups; spawns no thread. The pipeline's attached
     /// telemetry (or a fresh default) becomes the ops surface.
     pub fn new(pipeline: Pipeline, config: ServeConfig) -> Server {
         let telemetry = pipeline
             .telemetry()
             .map_or_else(|| Arc::new(Telemetry::default()), Arc::clone);
         let metrics = ServeMetrics::on(telemetry.registry());
-        let shards: Vec<Arc<ShardInner>> = (0..config.shards.max(1))
-            .map(|id| Arc::new(ShardInner::new(id)))
+        let shards: Vec<Arc<Shard>> = (0..config.shards.max(1))
+            .map(|id| Arc::new(Shard::new(id)))
             .collect();
         let shared = Arc::new(Shared {
             pipeline: Arc::new(pipeline),
@@ -493,24 +489,10 @@ impl Server {
             metrics,
             shards,
             active: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
             registration: Mutex::new(()),
         });
-        let workers = shared
-            .shards
-            .iter()
-            .map(|shard| {
-                let shared = Arc::clone(&shared);
-                let shard = Arc::clone(shard);
-                std::thread::Builder::new()
-                    .name(format!("rap-serve-shard-{}", shard.id))
-                    .spawn(move || worker(&shared, &shard))
-                    .expect("spawn shard worker")
-            })
-            .collect();
         Server {
             shared,
-            workers,
             acceptor: None,
             stop_accepting: Arc::new(AtomicBool::new(false)),
             addr: None,
@@ -625,19 +607,13 @@ impl Server {
         self.addr
     }
 
-    /// Stops accepting, drains the shard queues, and joins every
-    /// worker. Called automatically on drop; idempotent.
+    /// Stops accepting connections and joins the acceptor. Connections
+    /// already open keep being served, and each drains its session when
+    /// it closes. Called automatically on drop; idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.stopping.store(true, Ordering::Relaxed);
         self.stop_accepting.store(true, Ordering::Relaxed);
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
-        }
-        for shard in &self.shared.shards {
-            shard.enqueue(Job::Shutdown);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
@@ -646,140 +622,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// One shard's scan loop.
-fn worker(shared: &Arc<Shared>, shard: &Arc<ShardInner>) {
-    loop {
-        match shard.next_job() {
-            Job::Shutdown => break,
-            Job::Scan(session) => scan(shared, shard, &session, false),
-            Job::Finish(session) => {
-                scan(shared, shard, &session, true);
-                release(shared, shard, &session);
-            }
-        }
-    }
-    // Unblock any session still waiting after shutdown.
-    let mut queue = shard.queue.lock().expect("shard queue poisoned");
-    while let Some(job) = queue.pop_front() {
-        if let Job::Scan(session) | Job::Finish(session) = job {
-            let mut st = session.lock();
-            st.drained = true;
-            session.cv.notify_all();
-        }
-    }
-}
-
-/// Steps a session's pending bytes through its own stream state and
-/// delivers the match events. `fin` also ends the stream, which releases
-/// the `$`-anchored matches ending at the true end of stream.
-fn scan(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionInner>, fin: bool) {
-    // Taking the bytes under the stepper lock keeps steps in stream order.
-    let mut stepper = session.stepper.lock().expect("session stepper poisoned");
-    let Some(stream) = stepper.as_mut() else {
-        return; // The stream already finished.
-    };
-    let chunk = {
-        let mut st = session.lock();
-        if st.drained {
-            return;
-        }
-        std::mem::take(&mut st.pending)
-    };
-    if chunk.is_empty() && !fin {
-        // An earlier job already stepped these bytes.
-        return;
-    }
-    let start = Instant::now();
-    let (images, mapping) = (session.plan.compiled().images(), session.plan.mapping());
-    let mut fresh = stream.step(images, mapping, &chunk);
-    if fin {
-        let end = stepper.take().expect("checked above").finish();
-        fresh.extend(end.matches);
-    }
-    drop(stepper);
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    let events_budget = shard.tenancy().map_or(u64::MAX, |t| t.events_budget);
-    let bytes = chunk.len() as u64;
-    let over_events_budget = {
-        let mut st = session.lock();
-        st.events.extend(fresh.iter().copied());
-        st.unscanned -= chunk.len();
-        st.stats.bytes_scanned += bytes;
-        st.stats.scans += 1;
-        st.stats.matches_delivered += fresh.len() as u64;
-        let over = st.events.len() as u64 > events_budget;
-        let first = over && !st.flagged.backpressure;
-        if over {
-            st.stats.backpressure_events += 1;
-            st.flagged.backpressure = true;
-        }
-        session.cv.notify_all();
-        first
-    };
-    if over_events_budget {
-        shared.metrics.backpressure_events.inc();
-        shared.finding(
-            Rule::SessionBackpressure,
-            format!(
-                "tenant {:?} exceeded its certified event-queue budget ({events_budget} records)",
-                session.name
-            ),
-        );
-    }
-    shared.metrics.bytes_scanned.add(bytes);
-    shared.metrics.shard_bytes(shard.id).add(bytes);
-    shared.metrics.chunks_scanned.inc();
-    shared.metrics.matches_delivered.add(fresh.len() as u64);
-    shared
-        .metrics
-        .tenant_matches(&session.name)
-        .add(fresh.len() as u64);
-    shared.metrics.scan_ns.record(elapsed_ns);
-}
-
-/// Releases a drained session's slot and recomposes the remainder.
-/// The slot is released *before* `drained` is signalled, so a producer
-/// unblocked by [`Session::finish`] can immediately re-register the name.
-fn release(shared: &Arc<Shared>, shard: &Arc<ShardInner>, session: &Arc<SessionInner>) {
-    if session.lock().drained {
-        return;
-    }
-    let remaining = {
-        let mut residency = shard.residency.lock().expect("shard residency poisoned");
-        residency.tenants.retain(|t| t.name != session.name);
-        if let Err(error) = shared.recompose(&mut residency) {
-            // Keep the departing composition (and its budgets); the
-            // departed tenant's arrays just idle.
-            shared.finding(
-                Rule::AdmissionRejected,
-                format!(
-                    "recomposition after tenant {:?} drained failed on shard {}: {error}",
-                    session.name, shard.id
-                ),
-            );
-        }
-        residency.tenants.len()
-    };
-    let active = shared.active.fetch_sub(1, Ordering::Relaxed) - 1;
-    shared.metrics.sessions_active.set(active);
-    shared
-        .metrics
-        .shard_sessions(shard.id)
-        .set(remaining as u64);
-    {
-        let mut st = session.lock();
-        st.drained = true;
-        session.cv.notify_all();
-    }
-    shared.finding(
-        Rule::SessionDrained,
-        format!(
-            "tenant {:?} drained gracefully from shard {}",
-            session.name, shard.id
-        ),
-    );
 }
 
 #[cfg(test)]

@@ -77,8 +77,7 @@ fn chunked_sessions_match_solo_streaming_runs() {
     let shards: std::collections::BTreeSet<usize> = sessions.iter().map(|s| s.shard()).collect();
     assert_eq!(shards.len(), 2, "tenants should spread across shards");
     // Every tenant streams concurrently from its own thread, with uneven
-    // chunk sizes offset per tenant, retrying a shed chunk once its
-    // shard drains.
+    // chunk sizes offset per tenant, all well inside the intake budget.
     let sizes = [7usize, 31, 3, 64, 13];
     std::thread::scope(|scope| {
         for (i, (session, (_, _, input))) in sessions.iter().zip(&tenants).enumerate() {
@@ -88,9 +87,11 @@ fn chunked_sessions_match_solo_streaming_runs() {
                 while at < input.len() {
                     let len = sizes[(round + i) % sizes.len()].min(input.len() - at);
                     let piece = &input[at..at + len];
-                    while session.send(piece).expect("open") == SendOutcome::Shed {
-                        session.wait_idle();
-                    }
+                    assert_ne!(
+                        session.send(piece).expect("open"),
+                        SendOutcome::Shed,
+                        "an in-budget chunk never sheds"
+                    );
                     at += len;
                     round += 1;
                 }
@@ -180,14 +181,7 @@ fn dropping_a_session_drains_gracefully() {
     {
         let session = server.register("ephemeral", &set).expect("admits");
         session.send(b"xx drop yy").expect("open");
-        // No finish: the handle simply goes away.
-    }
-    // The worker processes the queued finish job shortly.
-    for _ in 0..200 {
-        if server.active_sessions() == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        // No finish: the handle simply goes away, draining inline.
     }
     assert_eq!(server.active_sessions(), 0, "drop must release the slot");
     let findings = server.findings();
@@ -376,13 +370,7 @@ fn mid_stream_disconnect_drains_within_budget_and_frees_the_slot() {
     {
         let session = server.register("flaky", &set).expect("admits");
         session.send(b"a target mid-stream").expect("open");
-        // Disconnect: the handle is dropped with bytes still in flight.
-    }
-    for _ in 0..200 {
-        if server.active_sessions() == 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        // Disconnect: the handle is dropped mid-stream, before `finish`.
     }
     assert_eq!(server.active_sessions(), 0, "drop must release the slot");
     let findings = server.findings();
@@ -494,4 +482,78 @@ fn framed_tcp_protocol_round_trips() {
         RegisterReply::Rejected(body) => panic!("name should be free after drain: {body}"),
     }
     server.shutdown();
+}
+
+#[test]
+fn each_send_returns_with_its_chunk_already_delivered() {
+    let server = server(1, 8);
+    let set = patterns(&["ab{2,4}c", "needle", "x.?y"]);
+    let input = b"xx abbc needle xay abbbbc xy needleneedle abc ".repeat(12);
+    let expected = solo_matches(&server, &set, &input);
+    assert!(!expected.is_empty(), "the workload must match");
+    for size in [1usize, 7, 128] {
+        let session = server
+            .register(&format!("inline-{size}"), &set)
+            .expect("admits");
+        let mut union = Vec::new();
+        for (k, chunk) in input.chunks(size).enumerate() {
+            assert_ne!(session.send(chunk).expect("open"), SendOutcome::Shed);
+            // No wait: `send` returned, so this chunk's events are queued.
+            let events = session.drain();
+            let (from, to) = (k * size, k * size + chunk.len());
+            assert!(
+                events.iter().all(|m| m.end > from && m.end <= to),
+                "chunk size {size}: events outside chunk {k}: {events:?}"
+            );
+            union.extend(events);
+        }
+        session.finish();
+        assert!(session.drain().is_empty(), "nothing was left to deliver");
+        union.sort_unstable_by_key(|m| (m.end, m.pattern));
+        assert_eq!(union, expected, "chunk size {size} diverged from solo run");
+    }
+}
+
+#[test]
+fn finish_racing_a_sender_loses_no_accepted_byte() {
+    let server = server(1, 8);
+    let set = patterns(&["ab{2,4}c", "needle"]);
+    let input = b"a needle abbbc then abbc and needles ".repeat(20);
+    // The sender streams `input` over and over until the session closes;
+    // the barrier makes `finish` start while it is still sending.
+    let cycles = 50;
+    let stream = input.repeat(cycles);
+    let session = server.register("racer", &set).expect("admits");
+    let started = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for (k, chunk) in stream.chunks(7).enumerate() {
+                if k == 50 {
+                    started.wait();
+                }
+                match session.send(chunk) {
+                    Ok(outcome) => assert_ne!(outcome, SendOutcome::Shed),
+                    Err(ServeError::SessionClosed) => return,
+                    Err(other) => panic!("unexpected send failure: {other}"),
+                }
+            }
+        });
+        scope.spawn(|| {
+            started.wait();
+            session.finish();
+        });
+    });
+    assert_eq!(server.active_sessions(), 0, "finish released the slot");
+    let sent = session.stats().bytes_sent as usize;
+    assert!(sent >= 350, "finish ran after the first 50 chunks");
+    assert!(session.send(b"late").is_err(), "the session is closed");
+    let mut delivered = session.drain();
+    delivered.sort_unstable_by_key(|m| (m.end, m.pattern));
+    delivered.dedup();
+    assert_eq!(
+        delivered,
+        solo_matches(&server, &set, &stream[..sent]),
+        "the delivered events are the solo run over every accepted byte"
+    );
+    assert_eq!(session.stats().bytes_scanned, sent as u64);
 }
